@@ -780,7 +780,6 @@ class ModuleBitwidthAnalysis:
 
     def function_summary(self, func: Function) -> Dict[str, float]:
         """Width/area summary for one function (``repro bitwidth``)."""
-        from ..ir import resource_class
         from ..hls.techlib import DEFAULT_TECHLIB
 
         analysis = self.for_function(func)
@@ -790,7 +789,7 @@ class ModuleBitwidthAnalysis:
         for inst in func.instructions():
             if not inst.type.is_int:
                 continue
-            resource = resource_class(inst)
+            resource = inst.resource
             if resource in ("control", "alloca", "call"):
                 continue
             width = analysis.proven_width(inst)

@@ -271,8 +271,6 @@ NARROWING_FACTOR = 2
     requires=("profile",),
 )
 def check_datapath_width(ctx) -> Iterator[Diagnostic]:
-    from ..ir import resource_class
-
     for func in ctx.module.defined_functions():
         analysis = ctx.bitwidth.for_function(func)
         wide = total = 0
@@ -280,7 +278,7 @@ def check_datapath_width(ctx) -> Iterator[Diagnostic]:
         for inst in func.instructions():
             if not inst.type.is_int:
                 continue
-            if resource_class(inst) in ("control", "alloca", "call"):
+            if inst.resource in ("control", "alloca", "call"):
                 continue
             total += 1
             width = analysis.proven_width(inst)

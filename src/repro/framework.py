@@ -225,22 +225,12 @@ class Cayman:
             runtime_seconds = time.perf_counter() - started
             root.set("front_size", len(front))
 
+        # The stages are contiguous and cover the whole run; the telemetry
+        # tests check that their times sum to (almost) all of the runtime.
         stage_seconds = {
             stage_name: span.duration_s
             for stage_name, span in stage_spans.items()
         }
-        # The stages are contiguous and cover the whole run, so their sum
-        # must account for (almost) all of the runtime — anything else means
-        # a stage was dropped from the accounting (the pre-telemetry code
-        # lost the lint stage exactly this way).
-        accounted = sum(stage_seconds.values())
-        assert runtime_seconds + 1e-9 >= accounted, (
-            f"stage times exceed runtime: {accounted} > {runtime_seconds}"
-        )
-        assert runtime_seconds - accounted <= max(0.05, 0.1 * runtime_seconds), (
-            f"unattributed stage time: stages sum to {accounted:.6f}s "
-            f"of {runtime_seconds:.6f}s"
-        )
         return CaymanResult(
             module=module,
             wpst=wpst,

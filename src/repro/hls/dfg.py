@@ -14,7 +14,6 @@ from ..ir import (
     Phi,
     Return,
     Store,
-    resource_class,
 )
 
 
@@ -31,16 +30,32 @@ def type_bits(ty) -> int:
     return 32
 
 
+def _natural_bits(inst: Instruction) -> int:
+    """Type-derived datapath width: a store carries its stored value, any
+    other void instruction one control bit."""
+    ty = inst.type
+    if ty.is_void:
+        if isinstance(inst, Store):
+            return type_bits(inst.value.type)
+        return 1
+    return type_bits(ty)
+
+
 class DFGNode:
     """One operation instance in a data-flow graph.
 
     ``copy`` distinguishes replicas introduced by loop unrolling; the
     underlying IR instruction is shared between replicas.  ``width``, when
     set, overrides the type-derived width with a (narrower) proven width
-    from the bitwidth analysis.
+    from the bitwidth analysis.  ``resource`` and ``bits`` are fixed at
+    construction: neither the instruction nor the width of a node changes
+    afterwards.
     """
 
-    __slots__ = ("inst", "copy", "preds", "succs", "order_preds", "width")
+    __slots__ = (
+        "inst", "copy", "preds", "succs", "order_preds", "width",
+        "resource", "bits",
+    )
 
     def __init__(
         self, inst: Instruction, copy: int = 0, width: Optional[int] = None
@@ -48,24 +63,11 @@ class DFGNode:
         self.inst = inst
         self.copy = copy
         self.width = width
+        self.resource: str = inst.resource
+        self.bits: int = width if width is not None else _natural_bits(inst)
         self.preds: List["DFGNode"] = []      # data dependences
         self.succs: List["DFGNode"] = []
         self.order_preds: List["DFGNode"] = []  # memory-ordering dependences
-
-    @property
-    def resource(self) -> str:
-        return resource_class(self.inst)
-
-    @property
-    def bits(self) -> int:
-        if self.width is not None:
-            return self.width
-        ty = self.inst.type
-        if ty.is_void:
-            if isinstance(self.inst, Store):
-                return type_bits(self.inst.value.type)
-            return 1
-        return type_bits(ty)
 
     @property
     def is_memory(self) -> bool:

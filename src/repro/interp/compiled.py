@@ -67,7 +67,6 @@ from ..ir import (
     Store,
     UnaryOp,
     UndefValue,
-    resource_class,
     sizeof,
 )
 from .cpu_model import instruction_cycles
@@ -338,7 +337,7 @@ class _FunctionCompiler:
         n_insts = len(tail)
         has_call = any(isinstance(inst, Call) for inst in tail)
         cycle_sum = sum(
-            instruction_cycles(resource_class(inst)) for inst in tail
+            instruction_cycles(inst.resource) for inst in tail
         )
 
         if self.trace:
@@ -407,7 +406,7 @@ class _FunctionCompiler:
             return
         block = self.func.blocks[bi]
         tail_cycles = sum(
-            instruction_cycles(resource_class(inst))
+            instruction_cycles(inst.resource)
             for inst in block.instructions
             if not isinstance(inst, Phi)
         )

@@ -17,7 +17,7 @@ from typing import Dict
 CPU_FREQ_HZ = 5.0e8
 
 # Cycles per executed instruction, by resource class (see
-# :func:`repro.ir.resource_class`).  Values follow published CVA6 latencies:
+# ``Instruction.resource``).  Values follow published CVA6 latencies:
 # single-issue ALU, 3-cycle multiplier, iterative divider, 2-cycle D$ hit,
 # a handful of cycles for the (non-pipelined) FPU.
 CPU_CYCLES: Dict[str, float] = {

@@ -40,7 +40,6 @@ from ..ir import (
     UndefValue,
     ArrayType,
     sizeof,
-    resource_class,
 )
 from ..telemetry import current as current_telemetry
 from .cpu_model import instruction_cycles
@@ -323,7 +322,7 @@ class Interpreter:
                     raise ExecutionLimitExceeded(
                         f"exceeded {self.max_instructions} instructions"
                     )
-                self.cycles += instruction_cycles(resource_class(inst))
+                self.cycles += instruction_cycles(inst.resource)
                 if isinstance(inst, Branch):
                     next_block = inst.target
                 elif isinstance(inst, CondBranch):

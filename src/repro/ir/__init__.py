@@ -41,7 +41,6 @@ from .instructions import (
     Select,
     Store,
     UnaryOp,
-    resource_class,
 )
 from .function import BasicBlock, Function
 from .module import Module
@@ -57,7 +56,7 @@ __all__ = [
     "Argument", "Constant", "GlobalVariable", "UndefValue", "Value",
     "Alloca", "BinaryOp", "Branch", "Call", "Cast", "CondBranch", "FCmp",
     "GetElementPtr", "ICmp", "Instruction", "Load", "Phi", "Return",
-    "Select", "Store", "UnaryOp", "resource_class",
+    "Select", "Store", "UnaryOp",
     "BasicBlock", "Function", "Module", "IRBuilder",
     "print_function", "print_module",
     "IRParseError", "parse_module", "parse_type",

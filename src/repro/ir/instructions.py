@@ -40,6 +40,16 @@ class Instruction(Value):
 
     opcode: str = "?"
 
+    @property
+    def resource(self) -> str:
+        """Resource class the HLS substrate schedules this instruction on.
+
+        Every concrete subclass shadows this with a class attribute (set
+        per instance from the opcode where the opcode picks the unit), so
+        only an unclassified subclass reaches here.
+        """
+        raise TypeError(f"unknown instruction {self!r}")
+
     def __init__(self, ty: Type, operands: Sequence[Value], name: str = ""):
         super().__init__(ty, name)
         self.operands: List[Value] = []
@@ -108,6 +118,8 @@ class Instruction(Value):
 class BinaryOp(Instruction):
     """Integer or floating-point binary arithmetic/logical operation."""
 
+    resource = "?"  # the opcode, set per instance
+
     def __init__(self, opcode: str, lhs: Value, rhs: Value, name: str = ""):
         if opcode in INT_BINARY_OPS:
             if not lhs.type.is_int:
@@ -120,7 +132,7 @@ class BinaryOp(Instruction):
         if lhs.type != rhs.type:
             raise TypeError(f"{opcode} operand type mismatch: {lhs.type} vs {rhs.type}")
         super().__init__(lhs.type, [lhs, rhs], name)
-        self.opcode = opcode
+        self.opcode = self.resource = opcode
 
     @property
     def lhs(self) -> Value:
@@ -140,6 +152,8 @@ class UnaryOp(Instruction):
     on integers.  ``fsqrt`` and ``fabs`` are the math intrinsics the
     benchmark kernels need (sqrtf/fabsf in C)."""
 
+    resource = "?"  # the opcode, set per instance
+
     def __init__(self, opcode: str, operand: Value, name: str = ""):
         if opcode in ("fneg", "fsqrt", "fabs") and not operand.type.is_float:
             raise TypeError(f"{opcode} requires a float operand")
@@ -148,13 +162,14 @@ class UnaryOp(Instruction):
         if opcode not in ("fneg", "fsqrt", "fabs", "neg", "not"):
             raise ValueError(f"unknown unary opcode {opcode!r}")
         super().__init__(operand.type, [operand], name)
-        self.opcode = opcode
+        self.opcode = self.resource = opcode
 
 
 class ICmp(Instruction):
     """Signed integer comparison producing an ``i1``."""
 
     opcode = "icmp"
+    resource = "icmp"
 
     def __init__(self, predicate: str, lhs: Value, rhs: Value, name: str = ""):
         if predicate not in ICMP_PREDICATES:
@@ -177,6 +192,7 @@ class FCmp(Instruction):
     """Ordered floating-point comparison producing an ``i1``."""
 
     opcode = "fcmp"
+    resource = "fcmp"
 
     def __init__(self, predicate: str, lhs: Value, rhs: Value, name: str = ""):
         if predicate not in FCMP_PREDICATES:
@@ -197,6 +213,7 @@ class Select(Instruction):
     """``select cond, a, b`` — conditional move."""
 
     opcode = "select"
+    resource = "select"
 
     def __init__(self, cond: Value, true_value: Value, false_value: Value, name: str = ""):
         if not cond.type.is_bool:
@@ -212,6 +229,8 @@ class Select(Instruction):
 
 class Cast(Instruction):
     """Type conversion between scalar types."""
+
+    resource = "?"  # the opcode, set per instance
 
     def __init__(self, opcode: str, operand: Value, target: Type, name: str = ""):
         if opcode not in CAST_OPS:
@@ -229,13 +248,14 @@ class Cast(Instruction):
         if not (src_ok and dst_ok):
             raise TypeError(f"{opcode}: invalid conversion {operand.type} -> {target}")
         super().__init__(target, [operand], name)
-        self.opcode = opcode
+        self.opcode = self.resource = opcode
 
 
 class Alloca(Instruction):
     """Stack allocation; yields a pointer to ``allocated_type``."""
 
     opcode = "alloca"
+    resource = "alloca"
 
     def __init__(self, allocated_type: Type, name: str = ""):
         super().__init__(PointerType(allocated_type), [], name)
@@ -249,6 +269,7 @@ class Load(Instruction):
     """Memory load through a pointer operand."""
 
     opcode = "load"
+    resource = "load"
 
     def __init__(self, pointer: Value, name: str = ""):
         if not pointer.type.is_pointer:
@@ -267,6 +288,7 @@ class Store(Instruction):
     """Memory store of ``value`` through ``pointer``."""
 
     opcode = "store"
+    resource = "store"
 
     def __init__(self, value: Value, pointer: Value):
         if not pointer.type.is_pointer:
@@ -294,6 +316,7 @@ class GetElementPtr(Instruction):
     """
 
     opcode = "gep"
+    resource = "gep"
 
     def __init__(self, base: Value, indices: Sequence[Value], name: str = ""):
         if not base.type.is_pointer:
@@ -328,6 +351,7 @@ class Phi(Instruction):
     """SSA phi node; incoming values are keyed by predecessor block."""
 
     opcode = "phi"
+    resource = "phi"
 
     def __init__(self, ty: Type, name: str = ""):
         super().__init__(ty, [], name)
@@ -373,6 +397,7 @@ class Branch(Instruction):
     """Unconditional branch."""
 
     opcode = "br"
+    resource = "control"
 
     def __init__(self, target: "BasicBlock"):
         super().__init__(VOID, [])
@@ -390,6 +415,7 @@ class CondBranch(Instruction):
     """Two-way conditional branch."""
 
     opcode = "condbr"
+    resource = "control"
 
     def __init__(self, cond: Value, true_target: "BasicBlock", false_target: "BasicBlock"):
         if not cond.type.is_bool:
@@ -417,6 +443,7 @@ class Return(Instruction):
     """Function return, optionally with a value."""
 
     opcode = "ret"
+    resource = "control"
 
     def __init__(self, value: Optional[Value] = None):
         super().__init__(VOID, [value] if value is not None else [])
@@ -437,6 +464,7 @@ class Call(Instruction):
     """Direct call to another function in the module."""
 
     opcode = "call"
+    resource = "call"
 
     def __init__(self, callee: "Function", args: Sequence[Value], name: str = ""):
         expected = callee.type.param_types
@@ -458,35 +486,3 @@ class Call(Instruction):
             return head
         return f"%{self.name} = {head}"
 
-
-# Classification table shared by the tech library and the analyses:
-# maps an instruction to the resource class the HLS substrate schedules it on.
-def resource_class(inst: Instruction) -> str:
-    """Resource class of an instruction for scheduling and area lookup."""
-    if isinstance(inst, BinaryOp):
-        return inst.opcode
-    if isinstance(inst, UnaryOp):
-        return inst.opcode
-    if isinstance(inst, ICmp):
-        return "icmp"
-    if isinstance(inst, FCmp):
-        return "fcmp"
-    if isinstance(inst, Select):
-        return "select"
-    if isinstance(inst, Cast):
-        return inst.opcode
-    if isinstance(inst, Load):
-        return "load"
-    if isinstance(inst, Store):
-        return "store"
-    if isinstance(inst, GetElementPtr):
-        return "gep"
-    if isinstance(inst, Phi):
-        return "phi"
-    if isinstance(inst, (Branch, CondBranch, Return)):
-        return "control"
-    if isinstance(inst, Call):
-        return "call"
-    if isinstance(inst, Alloca):
-        return "alloca"
-    raise TypeError(f"unknown instruction {inst!r}")

@@ -11,6 +11,14 @@ For every Pareto-optimal selection solution Cayman repeatedly
 3. treats the merged unit/accelerator as a normal one for further rounds,
 
 until no positive saving remains.
+
+A merger instance is meant to serve one flow run: it keeps one pair-saving
+cache across every solution it merges, because a front's solutions share
+most of their accelerators.  The cache is keyed by unit content, not by
+unit object: an original unit's key is interned from its DFG, and a merged
+unit's key from its two members' keys (``merge_pair`` is deterministic in
+its members, so that pair of keys fixes the merged DFG).  The cache holds
+only the net savings; the chosen pair of each merge step is re-matched.
 """
 
 from __future__ import annotations
@@ -18,11 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..hls.dfg import DFG
 from ..hls.fsm import GlobalControlUnit
 from ..hls.techlib import ACCELERATOR_BASE_AREA_UM2, DEFAULT_TECHLIB, TechLibrary
 from ..selection.solution import Solution
 from ..telemetry import current as current_telemetry
 from .dfg_merge import MergedUnit, estimate_pair_saving, merge_pair
+from .opmatch import match_units
 
 
 @dataclass
@@ -104,7 +114,7 @@ class _UnionFind:
 
 
 class AcceleratorMerger:
-    """Greedy pairwise merging engine."""
+    """Greedy pairwise merging engine with a per-instance pair cache."""
 
     def __init__(
         self,
@@ -119,9 +129,22 @@ class AcceleratorMerger:
         #: Restricted hardware sharing (baselines): a pair may merge only if
         #: the match covers at least this fraction of the smaller unit.
         self.min_match_fraction = min_match_fraction
+        #: Distinct pair matches computed (cache misses) and cache hits,
+        #: summed over every solution this merger has merged.
+        self.pairs_evaluated = 0
+        self.pair_cache_hits = 0
+        # Content keys: id(DFG) → (key, DFG) for original units (holding
+        # the DFG keeps its id() from being reused) and (key_a, key_b) →
+        # key for merged units.  Keys share one counter.
+        self._dfg_keys: Dict[int, Tuple[int, DFG]] = {}
+        self._merged_keys: Dict[Tuple[int, int], int] = {}
+        #: (key_i, key_j) → net saving after the ``min_match_fraction``
+        #: filter.  Floats only, so no merged DFG outlives its solution.
+        self._savings: Dict[Tuple[int, int], float] = {}
 
     def merge(self, solution: Solution) -> MergedSolution:
         tele = current_telemetry()
+        evaluated, hits = self.pairs_evaluated, self.pair_cache_hits
         with tele.span(
             "merging.solution", accelerators=len(solution.accelerators)
         ) as span:
@@ -131,12 +154,41 @@ class AcceleratorMerger:
                 span.set("saving_um2", merged.saving)
                 tele.count("merging.solutions")
                 tele.count("merging.steps", merged.merge_steps)
+                tele.count(
+                    "merging.pairs_evaluated", self.pairs_evaluated - evaluated
+                )
+                tele.count(
+                    "merging.pair_cache_hits", self.pair_cache_hits - hits
+                )
                 tele.count("merging.recovered_area_um2", merged.saving)
                 tele.count(
                     "merging.width_recovered_area_um2",
                     merged.width_recovered_area,
                 )
         return merged
+
+    def _new_key(self) -> int:
+        return len(self._dfg_keys) + len(self._merged_keys)
+
+    def _original_key(self, dfg: DFG) -> int:
+        entry = self._dfg_keys.get(id(dfg))
+        if entry is None:
+            entry = self._dfg_keys[id(dfg)] = (self._new_key(), dfg)
+        return entry[0]
+
+    def _merged_key(self, key_a: int, key_b: int) -> int:
+        key = self._merged_keys.get((key_a, key_b))
+        if key is None:
+            key = self._merged_keys[(key_a, key_b)] = self._new_key()
+        return key
+
+    def _pair_saving(self, unit_a: MergedUnit, unit_b: MergedUnit) -> float:
+        saving, match = estimate_pair_saving(unit_a, unit_b, self.techlib)
+        if self.min_match_fraction > 0.0:
+            smaller = min(len(unit_a.dfg.nodes), len(unit_b.dfg.nodes))
+            if len(match.pairs) / max(1, smaller) < self.min_match_fraction:
+                return 0.0
+        return saving
 
     def _merge_impl(self, solution: Solution) -> MergedSolution:
         units: List[MergedUnit] = []
@@ -162,66 +214,49 @@ class AcceleratorMerger:
         total_step_saving = 0.0
         width_recovered = 0.0
         steps = 0
-        # Lazily maintained pair-saving cache.  Keyed by per-run serials,
-        # not bare id(): a unit replaced during merging could be
-        # garbage-collected and its id() reused by the next merged unit,
-        # which made a stale cached saving apply to the wrong pair
-        # (heap-layout dependent, so results varied with process history).
-        # ``ever_created`` keeps every unit alive for the run so the
-        # id-indexed serial map stays collision-free.
-        ever_created: List[MergedUnit] = list(units)
-        serials: Dict[int, int] = {
-            id(unit): serial for serial, unit in enumerate(ever_created)
-        }
-        savings: Dict[Tuple[int, int], Tuple[float, object]] = {}
-
-        def register(unit: MergedUnit) -> MergedUnit:
-            serials[id(unit)] = len(ever_created)
-            ever_created.append(unit)
-            return unit
-
-        def pair_saving(i: int, j: int):
-            key = (serials[id(units[i])], serials[id(units[j])])
-            if key not in savings:
-                current_telemetry().count("merging.pairs_evaluated")
-                saving, match = estimate_pair_saving(
-                    units[i], units[j], self.techlib
-                )
-                if self.min_match_fraction > 0.0:
-                    smaller = min(len(units[i].dfg.nodes), len(units[j].dfg.nodes))
-                    fraction = len(match.pairs) / max(1, smaller)
-                    if fraction < self.min_match_fraction:
-                        saving = 0.0
-                savings[key] = (saving, match)
-            return savings[key]
+        keys = [self._original_key(unit.dfg) for unit in units]
+        savings = self._savings
+        evaluated = hits = 0
 
         while True:
             if self.max_steps is not None and steps >= self.max_steps:
                 break
             best = None
             best_saving = 0.0
-            best_match = None
             for i in range(len(units)):
+                key_i = keys[i]
                 for j in range(i + 1, len(units)):
-                    saving, match = pair_saving(i, j)
+                    pair = (key_i, keys[j])
+                    saving = savings.get(pair)
+                    if saving is None:
+                        saving = savings[pair] = self._pair_saving(
+                            units[i], units[j]
+                        )
+                        evaluated += 1
+                    else:
+                        hits += 1
                     if saving > best_saving:
-                        best, best_saving, best_match = (i, j), saving, match
+                        best, best_saving = (i, j), saving
             if best is None:
                 break
             i, j = best
-            merged = register(
-                merge_pair(units[i], units[j], self.techlib, best_match)
-            )
+            match = match_units(units[i].dfg, units[j].dfg, self.techlib)
+            merged = merge_pair(units[i], units[j], self.techlib, match)
+            merged_key = self._merged_key(keys[i], keys[j])
             owner_a, owner_b = units[i].owner, units[j].owner
             uf.union(uf.find(owner_a), uf.find(owner_b))
             merged.owner = uf.find(owner_a)
             # Replace the pair with the merged unit.
             units = [u for k, u in enumerate(units) if k not in (i, j)]
             units.append(merged)
+            keys = [key for k, key in enumerate(keys) if k not in (i, j)]
+            keys.append(merged_key)
             total_step_saving += best_saving
-            width_recovered += best_match.width_recovered_area
+            width_recovered += match.width_recovered_area
             steps += 1
 
+        self.pairs_evaluated += evaluated
+        self.pair_cache_hits += hits
         return self._finalize(
             solution, area_before, total_step_saving, units, kernel_of_owner,
             uf, steps, width_recovered

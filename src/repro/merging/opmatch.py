@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
+from weakref import WeakKeyDictionary
 
 from ..hls.dfg import DFG, DFGNode
 from ..hls.techlib import CONFIG_BIT_AREA_UM2, TechLibrary
@@ -59,24 +60,42 @@ def _op_key(node: DFGNode) -> Tuple[str, int]:
     return (node.resource, _bucket(node.bits))
 
 
+_OpIndex = Tuple[List[Tuple[str, int]], Dict[Tuple[str, int], List[DFGNode]]]
+
+#: Per-DFG op keys (in node order) and key → nodes buckets, built once per
+#: DFG and reused by every pair the DFG is part of.  Weakly keyed, so an
+#: entry lives exactly as long as its DFG.
+_INDEX: "WeakKeyDictionary[DFG, _OpIndex]" = WeakKeyDictionary()
+
+
+def _op_index(unit: DFG) -> _OpIndex:
+    index = _INDEX.get(unit)
+    if index is None:
+        keys = [_op_key(node) for node in unit.nodes]
+        by_key: Dict[Tuple[str, int], List[DFGNode]] = {}
+        for node, key in zip(unit.nodes, keys):
+            by_key.setdefault(key, []).append(node)
+        index = _INDEX[unit] = (keys, by_key)
+    return index
+
+
 def match_units(
     unit_a: DFG, unit_b: DFG, techlib: TechLibrary
 ) -> MatchResult:
     """Greedy producer-aware matching of ``unit_b``'s ops onto ``unit_a``."""
     result = MatchResult()
-    by_key_a: Dict[Tuple[str, int], List[DFGNode]] = {}
-    for node in unit_a.nodes:
-        by_key_a.setdefault(_op_key(node), []).append(node)
+    by_key_a = _op_index(unit_a)[1]
+    keys_b = _op_index(unit_b)[0]
 
     matched_a: Dict[DFGNode, DFGNode] = {}
     matched_b: Dict[DFGNode, DFGNode] = {}
 
     # Single pass in program order: producers precede consumers, so matched
     # producer pairs steer their consumers toward mux-free matches.
-    for node_b in unit_b.nodes:
+    for node_b, key_b in zip(unit_b.nodes, keys_b):
         candidates = [
             node_a
-            for node_a in by_key_a.get(_op_key(node_b), [])
+            for node_a in by_key_a.get(key_b, ())
             if node_a not in matched_a
         ]
         if not candidates:

@@ -12,12 +12,14 @@ from repro.ir import (
     CondBranch,
     Constant,
     F32,
+    F64,
     FCmp,
     GetElementPtr,
     I32,
     I64,
     ICmp,
     IRBuilder,
+    Instruction,
     Load,
     Module,
     Phi,
@@ -27,7 +29,6 @@ from repro.ir import (
     Store,
     UnaryOp,
     VOID,
-    resource_class,
 )
 
 
@@ -248,10 +249,78 @@ class TestCall:
             Call(callee, [Constant(F32, 1.0), Constant(F32, 2.0)])
 
 
+def _legacy_resource_class(inst):
+    """The isinstance table ``Instruction.resource`` replaced: the oracle."""
+    if isinstance(inst, (BinaryOp, UnaryOp, Cast)):
+        return inst.opcode
+    for cls, resource in (
+        (ICmp, "icmp"), (FCmp, "fcmp"), (Select, "select"), (Load, "load"),
+        (Store, "store"), (GetElementPtr, "gep"), (Phi, "phi"),
+        ((Branch, CondBranch, Return), "control"), (Call, "call"),
+        (Alloca, "alloca"),
+    ):
+        if isinstance(inst, cls):
+            return resource
+    raise TypeError(f"unknown instruction {inst!r}")
+
+
+def _one_of_each():
+    """Instances covering every opcode of every Instruction subclass."""
+    module = Module("m")
+    func = module.add_function("f", I32, [I32])
+    entry = func.add_block("entry")
+    i1, i2 = Constant(I32, 1), Constant(I32, 2)
+    f1, f2 = Constant(F32, 1.0), Constant(F32, 2.0)
+    slot = Alloca(I32)
+    array = Alloca(ArrayType(I32, 4))
+    cond = ICmp("slt", i1, i2)
+    phi = Phi(I32)
+    phi.add_incoming(i1, entry)
+    insts = [
+        BinaryOp("add", i1, i2), BinaryOp("mul", i1, i2),
+        BinaryOp("shr", i1, i2), BinaryOp("fadd", f1, f2),
+        BinaryOp("fdiv", f1, f2),
+        UnaryOp("neg", i1), UnaryOp("not", i1), UnaryOp("fneg", f1),
+        UnaryOp("fsqrt", f1), UnaryOp("fabs", f1),
+        cond, FCmp("olt", f1, f2), Select(cond, i1, i2),
+        Cast("sext", i1, I64), Cast("zext", i1, I64),
+        Cast("trunc", Constant(I64, 3), I32), Cast("sitofp", i1, F32),
+        Cast("fptosi", f1, I32), Cast("fpext", f1, F64),
+        Cast("fptrunc", Constant(F64, 1.0), F32),
+        slot, array, Load(slot), Store(i1, slot),
+        GetElementPtr(array, [Constant(I32, 0), i1]), phi,
+        Branch(entry), CondBranch(cond, entry, entry), Return(i1), Return(),
+        Call(func, [i1]),
+    ]
+    return insts
+
+
+def _ir_subclasses(cls):
+    """Every subclass the IR package defines (not ones made by tests)."""
+    for sub in cls.__subclasses__():
+        if sub.__module__ == cls.__module__:
+            yield sub
+            yield from _ir_subclasses(sub)
+
+
 class TestResourceClass:
     def test_classes(self):
-        assert resource_class(BinaryOp("fadd", Constant(F32, 1), Constant(F32, 2))) == "fadd"
-        assert resource_class(ICmp("eq", Constant(I32, 1), Constant(I32, 1))) == "icmp"
-        assert resource_class(Load(Alloca(I32))) == "load"
-        assert resource_class(Return()) == "control"
-        assert resource_class(UnaryOp("fsqrt", Constant(F32, 1.0))) == "fsqrt"
+        assert BinaryOp("fadd", Constant(F32, 1), Constant(F32, 2)).resource == "fadd"
+        assert ICmp("eq", Constant(I32, 1), Constant(I32, 1)).resource == "icmp"
+        assert Load(Alloca(I32)).resource == "load"
+        assert Return().resource == "control"
+        assert UnaryOp("fsqrt", Constant(F32, 1.0)).resource == "fsqrt"
+
+    def test_every_subclass_matches_legacy_table(self):
+        insts = _one_of_each()
+        covered = {type(inst) for inst in insts}
+        assert covered == set(_ir_subclasses(Instruction))
+        for inst in insts:
+            assert inst.resource == _legacy_resource_class(inst), inst
+
+    def test_unknown_subclass_fails_loudly(self):
+        class Mystery(Instruction):
+            pass
+
+        with pytest.raises(TypeError, match="unknown instruction"):
+            Mystery(VOID, []).resource
