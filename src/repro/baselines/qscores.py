@@ -16,18 +16,9 @@ selection is greedier) and therefore a conservative comparison.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Union
-
-from ..analysis.wpst import WPST
-from ..frontend.lowering import compile_source
-from ..hls.techlib import CVA6_TILE_AREA_UM2, DEFAULT_TECHLIB, TechLibrary
-from ..interp.profiler import profile_module
-from ..ir import Module
-from ..merging.merge_driver import AcceleratorMerger, MergedSolution
+from ..framework import Flow, FlowRunner
+from ..hls.techlib import DEFAULT_TECHLIB
 from ..model.estimator import AcceleratorModel
-from ..selection.knapsack import CandidateSelector
-from ..selection.pruning import PruneHeuristic
-from .common import BaselineResult
 
 
 class QsCoresModel(AcceleratorModel):
@@ -35,56 +26,18 @@ class QsCoresModel(AcceleratorModel):
 
     INTERFACE_MODES = ("scanchain",)
 
-    def __init__(self, module, profile, techlib=DEFAULT_TECHLIB, **kwargs):
-        kwargs.setdefault("unroll_factors", (1,))
-        kwargs.setdefault("pipeline_innermost", False)
-        super().__init__(module, profile, techlib=techlib, **kwargs)
+    def __init__(self, module, profile, techlib=DEFAULT_TECHLIB,
+                 unroll_factors=(1,), pipeline_innermost=False, **kwargs):
+        super().__init__(module, profile, techlib=techlib,
+                         unroll_factors=unroll_factors,
+                         pipeline_innermost=pipeline_innermost, **kwargs)
 
 
-class QsCores:
+#: QsCores: only regions whose datapaths are ≥90% identical share hardware.
+QSCORES = Flow("qscores", QsCoresModel, min_match_fraction=0.9)
+
+
+class QsCores(FlowRunner):
     """End-to-end QsCores baseline flow."""
 
-    #: Only regions whose datapaths are ≥90% identical may share hardware.
-    MIN_MATCH_FRACTION = 0.9
-
-    def __init__(
-        self,
-        techlib: TechLibrary = DEFAULT_TECHLIB,
-        alpha: float = 1.1,
-        prune_threshold: float = 0.001,
-        area_cap_ratio: float = 2.0,
-    ):
-        self.techlib = techlib
-        self.alpha = alpha
-        self.prune_threshold = prune_threshold
-        self.area_cap_ratio = area_cap_ratio
-
-    def run(
-        self,
-        program: Union[str, Module],
-        entry: str = "main",
-        args: Optional[List] = None,
-        setup: Optional[Callable] = None,
-        name: str = "app",
-    ) -> BaselineResult:
-        module = (
-            compile_source(program, name) if isinstance(program, str) else program
-        )
-        profile = profile_module(module, entry=entry, args=args, setup=setup)
-        wpst = WPST(module, entry_function=entry)
-        model = QsCoresModel(module, profile, techlib=self.techlib)
-        selector = CandidateSelector(
-            wpst,
-            model,
-            prune=PruneHeuristic(profile, self.prune_threshold),
-            alpha=self.alpha,
-            area_cap=self.area_cap_ratio * CVA6_TILE_AREA_UM2,
-        )
-        front = selector.run()
-        merger = AcceleratorMerger(
-            self.techlib, min_match_fraction=self.MIN_MATCH_FRACTION
-        )
-        merged: List[MergedSolution] = [
-            merger.merge(solution) for solution in front if not solution.is_empty
-        ]
-        return BaselineResult(name="qscores", profile=profile, merged=merged)
+    flow = QSCORES

@@ -3,13 +3,20 @@
 Pipeline: mini-C source (or IR module) → wPST construction → profiling and
 program analysis → accelerator-model-driven candidate selection (Algorithm
 1) → accelerator merging → Pareto-optimal solutions of merged accelerators.
+
+:func:`prepare` compiles, profiles, and builds the wPST once; :func:`run_flow`
+runs one :class:`Flow` on the prepared program.  Full Cayman, coupled-only,
+NOVIA, and QsCores are four such flows (paper Table I).
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Union,
+)
 
 from .analysis.wpst import WPST
 from .diagnostics import LintResult, run_lint
@@ -22,17 +29,57 @@ from .model.estimator import AcceleratorModel
 from .selection.knapsack import CandidateSelector
 from .selection.pruning import PruneHeuristic
 from .selection.solution import EMPTY_SOLUTION, Solution
-from .telemetry import Telemetry, current as current_telemetry, use as use_telemetry
+from .telemetry import Span, Telemetry, current as current_telemetry
+from .telemetry import use as use_telemetry
 
-#: Pipeline stages of one :meth:`Cayman.run`, in execution order.  ``lint``
-#: only appears when the driver runs with ``lint=True``.
-PIPELINE_STAGES = ("compile", "profile", "analysis", "selection", "merging",
-                   "lint")
+#: Pipeline stages of one flow run from source, in execution order: the
+#: first three are :func:`prepare`'s, the rest :func:`run_flow`'s.  ``lint``
+#: only appears when the flow runs with ``lint=True``.
+PIPELINE_STAGES = ("compile", "profile", "wpst", "analysis", "selection",
+                   "merging", "lint")
+
+
+@dataclass(frozen=True)
+class Flow:
+    """One accelerator-generation flow, as a restriction of Cayman's
+    (paper Table I): which model proposes candidates, with which model
+    keyword arguments, and how similar two datapaths must be to share
+    hardware."""
+
+    name: str
+    #: Model class, called as ``model(module, profile, techlib=, **kwargs)``.
+    model: Callable[..., Any]
+    model_kwargs: Mapping[str, Any] = field(default_factory=dict)
+    #: A pair may merge only if the match covers at least this fraction of
+    #: the smaller unit (0 = Cayman's flexible sharing).
+    min_match_fraction: float = 0.0
+
+
+#: Full Cayman.
+CAYMAN = Flow("cayman", AcceleratorModel)
+#: The Fig. 6 ablation: every access on the coupled interface.
+COUPLED_ONLY = Flow("coupled_only", AcceleratorModel, {"coupled_only": True})
+
+
+@dataclass
+class PreparedProgram:
+    """A compiled, profiled program and its wPST — the flow-independent
+    front of the pipeline, shared by every flow run on it."""
+
+    name: str
+    entry: str
+    module: Module
+    profile: RegionProfile
+    wpst: WPST
+    #: Wall time of each preparation stage (compile, profile, wpst).
+    stage_seconds: Dict[str, float]
+    #: Wall time of the whole preparation.
+    seconds: float
 
 
 @dataclass
 class CaymanResult:
-    """Everything produced by one Cayman run."""
+    """Everything produced by one flow run (Cayman's or a baseline's)."""
 
     module: Module
     wpst: WPST
@@ -44,11 +91,11 @@ class CaymanResult:
     #: Lint findings over the compiled module (populated when the driver
     #: runs with ``lint=True``); ``None`` when linting was skipped.
     diagnostics: Optional["LintResult"] = None
-    #: Wall time per pipeline stage (compile, profile, analysis, selection,
-    #: merging, and lint when enabled), derived from the run's stage spans
-    #: and feeding the bench harness's stage instrumentation.
+    #: Wall time per pipeline stage (:data:`PIPELINE_STAGES`; lint only when
+    #: enabled), derived from the stage spans and feeding the bench
+    #: harness's stage instrumentation.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
-    #: The telemetry context the run recorded into (the installed ambient
+    #: The telemetry context the flow recorded into (the installed ambient
     #: context, or a run-local one when none was installed).
     telemetry: Optional["Telemetry"] = None
 
@@ -69,9 +116,9 @@ class CaymanResult:
             if best is None or candidate.saved_seconds > best.saved_seconds:
                 best = candidate
         if best is None:
-            empty = EMPTY_SOLUTION
             best = MergedSolution(
-                solution=empty, area_before=0.0, area_after=0.0, merge_steps=0
+                solution=EMPTY_SOLUTION, area_before=0.0, area_after=0.0,
+                merge_steps=0,
             )
         return best
 
@@ -138,111 +185,182 @@ class Cayman:
         name: str = "app",
     ) -> CaymanResult:
         """Run the full flow on a mini-C source string or an IR module."""
-        tele = self.telemetry if self.telemetry is not None else current_telemetry()
-        if not tele.enabled:
-            # Stage spans are the source of ``stage_seconds``, so the run
-            # always records into a real context — a run-local one when no
-            # ambient telemetry is installed.
-            tele = Telemetry()
-        with use_telemetry(tele):
-            return self._run_instrumented(
-                tele, program, entry=entry, args=args, setup=setup, name=name
+        with _recording(self.telemetry) as tele, tele.span(
+            "cayman.run", workload=name, entry=entry,
+            coupled_only=self.coupled_only,
+        ) as root:
+            result = run_flow(
+                prepare(program, entry, args, setup, name),
+                COUPLED_ONLY if self.coupled_only else CAYMAN,
+                techlib=self.techlib, alpha=self.alpha,
+                prune_threshold=self.prune_threshold,
+                area_cap_ratio=self.area_cap_ratio,
+                merging=self.merging, lint=self.lint, beta=self.beta,
+                unroll_factors=self.unroll_factors,
+                legality_prefilter=self.legality_prefilter,
+            )
+            root.set("front_size", len(result.front))
+        return result
+
+
+class FlowRunner:
+    """Front door of one fixed :class:`Flow` (the baselines)."""
+
+    flow: Flow
+
+    def __init__(
+        self,
+        techlib: TechLibrary = DEFAULT_TECHLIB,
+        alpha: float = 1.1,
+        prune_threshold: float = 0.001,
+        area_cap_ratio: float = 2.0,
+    ):
+        self.techlib = techlib
+        self.alpha = alpha
+        self.prune_threshold = prune_threshold
+        self.area_cap_ratio = area_cap_ratio
+
+    def run(
+        self,
+        program: Union[str, Module],
+        entry: str = "main",
+        args: Optional[List] = None,
+        setup: Optional[Callable] = None,
+        name: str = "app",
+    ) -> CaymanResult:
+        """Run the flow on a mini-C source string or an IR module."""
+        with _recording():
+            return run_flow(
+                prepare(program, entry, args, setup, name), self.flow,
+                techlib=self.techlib, alpha=self.alpha,
+                prune_threshold=self.prune_threshold,
+                area_cap_ratio=self.area_cap_ratio,
             )
 
-    def _run_instrumented(
-        self,
-        tele: Telemetry,
-        program: Union[str, Module],
-        entry: str,
-        args: Optional[List],
-        setup: Optional[Callable],
-        name: str,
-    ) -> CaymanResult:
-        stage_spans: Dict[str, "object"] = {}
 
-        def stage(stage_name: str):
-            span = tele.span(f"stage:{stage_name}")
-            stage_spans[stage_name] = span
-            return span
+@contextmanager
+def _recording(tele: Optional[Telemetry] = None) -> Iterator[Telemetry]:
+    """Install ``tele`` (default: the ambient context) for a run.  Stage
+    spans are the source of ``stage_seconds``, so a run always records
+    into a real context — a run-local one when none is installed."""
+    if tele is None:
+        tele = current_telemetry()
+    if not tele.enabled:
+        tele = Telemetry()
+    with use_telemetry(tele):
+        yield tele
 
-        with tele.span("cayman.run", workload=name, entry=entry,
-                       coupled_only=self.coupled_only) as root:
-            started = time.perf_counter()
-            with stage("compile"):
-                module = (
-                    compile_source(program, name)
-                    if isinstance(program, str) else program
-                )
-            with stage("profile"):
-                profile = profile_module(
-                    module, entry=entry, args=args, setup=setup
-                )
-            with stage("analysis"):
-                wpst = WPST(module, entry_function=entry)
-                model = AcceleratorModel(
-                    module,
-                    profile,
-                    techlib=self.techlib,
-                    beta=self.beta,
-                    unroll_factors=self.unroll_factors,
-                    coupled_only=self.coupled_only,
-                    legality_prefilter=self.legality_prefilter,
-                )
-            with stage("selection"):
-                selector = CandidateSelector(
-                    wpst,
-                    model,
-                    prune=PruneHeuristic(profile, self.prune_threshold),
-                    alpha=self.alpha,
-                    area_cap=self.area_cap_ratio * CVA6_TILE_AREA_UM2,
-                )
-                front = selector.run()
-            with stage("merging") as merging_span:
-                merger = AcceleratorMerger(self.techlib)
-                merged: List[MergedSolution] = []
-                for solution in front:
-                    if solution.is_empty:
-                        continue
-                    if self.merging:
-                        merged.append(merger.merge(solution))
-                    else:
-                        merged.append(
-                            MergedSolution(
-                                solution=solution,
-                                area_before=solution.area,
-                                area_after=solution.area,
-                                merge_steps=0,
-                            )
-                        )
-                merging_span.set("solutions", len(merged))
-            diagnostics: Optional[LintResult] = None
-            if self.lint:
-                with stage("lint") as lint_span:
-                    diagnostics = run_lint(
-                        module, profile=profile, wpst=wpst, model=model
-                    )
-                    lint_span.set("findings", len(diagnostics.diagnostics))
-            runtime_seconds = time.perf_counter() - started
-            root.set("front_size", len(front))
 
-        # The stages are contiguous and cover the whole run; the telemetry
-        # tests check that their times sum to (almost) all of the runtime.
-        stage_seconds = {
-            stage_name: span.duration_s
-            for stage_name, span in stage_spans.items()
-        }
-        return CaymanResult(
-            module=module,
-            wpst=wpst,
-            profile=profile,
-            selector=selector,
-            front=front,
-            merged=merged,
-            runtime_seconds=runtime_seconds,
-            diagnostics=diagnostics,
-            stage_seconds=stage_seconds,
-            telemetry=tele,
-        )
+class _Stages(dict):
+    """``stage:<name>`` spans by name; their durations are the stage times."""
+
+    def __call__(self, name: str) -> Span:
+        self[name] = current_telemetry().span(f"stage:{name}")
+        return self[name]
+
+    def seconds(self) -> Dict[str, float]:
+        return {name: span.duration_s for name, span in self.items()}
+
+
+def prepare(
+    program: Union[str, Module],
+    entry: str = "main",
+    args: Optional[List] = None,
+    setup: Optional[Callable] = None,
+    name: str = "app",
+) -> PreparedProgram:
+    """Compile (unless given IR), profile, and build the wPST, once."""
+    stages = _Stages()
+    with _recording():
+        started = time.perf_counter()
+        with stages("compile"):
+            module = (
+                compile_source(program, name)
+                if isinstance(program, str) else program
+            )
+        with stages("profile"):
+            profile = profile_module(module, entry=entry, args=args, setup=setup)
+        with stages("wpst"):
+            wpst = WPST(module, entry_function=entry)
+        seconds = time.perf_counter() - started
+    return PreparedProgram(
+        name=name, entry=entry, module=module, profile=profile, wpst=wpst,
+        stage_seconds=stages.seconds(), seconds=seconds,
+    )
+
+
+def run_flow(
+    prepared: PreparedProgram,
+    flow: Flow,
+    techlib: TechLibrary = DEFAULT_TECHLIB,
+    alpha: float = 1.1,
+    prune_threshold: float = 0.001,
+    area_cap_ratio: float = 2.0,
+    merging: bool = True,
+    lint: bool = False,
+    **model_kwargs,
+) -> CaymanResult:
+    """Run one flow on a prepared program: model → selection → merging
+    (→ lint).  ``model_kwargs`` override the flow's own (e.g. Cayman's β).
+
+    The result's ``stage_seconds`` and ``runtime_seconds`` include the
+    preparation, so they describe the whole flow from source.
+    """
+    stages = _Stages()
+    with _recording() as tele:
+        started = time.perf_counter()
+        with stages("analysis"):
+            model = flow.model(
+                prepared.module, prepared.profile, techlib=techlib,
+                **{**flow.model_kwargs, **model_kwargs},
+            )
+        with stages("selection"):
+            selector = CandidateSelector(
+                prepared.wpst,
+                model,
+                prune=PruneHeuristic(prepared.profile, prune_threshold),
+                alpha=alpha,
+                area_cap=area_cap_ratio * CVA6_TILE_AREA_UM2,
+            )
+            front = selector.run()
+        with stages("merging") as merging_span:
+            # One merger per run: its pair cache is shared across the front.
+            merger = AcceleratorMerger(
+                techlib, min_match_fraction=flow.min_match_fraction
+            )
+            merged: List[MergedSolution] = [
+                merger.merge(solution) if merging else MergedSolution(
+                    solution=solution, area_before=solution.area,
+                    area_after=solution.area, merge_steps=0,
+                )
+                for solution in front if not solution.is_empty
+            ]
+            merging_span.set("solutions", len(merged))
+        diagnostics: Optional[LintResult] = None
+        if lint:
+            with stages("lint") as lint_span:
+                diagnostics = run_lint(
+                    prepared.module, profile=prepared.profile,
+                    wpst=prepared.wpst, model=model,
+                )
+                lint_span.set("findings", len(diagnostics.diagnostics))
+        seconds = time.perf_counter() - started
+
+    # The stages are contiguous and cover the whole run; the telemetry
+    # tests check that their times sum to (almost) all of the runtime.
+    return CaymanResult(
+        module=prepared.module,
+        wpst=prepared.wpst,
+        profile=prepared.profile,
+        selector=selector,
+        front=front,
+        merged=merged,
+        runtime_seconds=prepared.seconds + seconds,
+        diagnostics=diagnostics,
+        stage_seconds={**prepared.stage_seconds, **stages.seconds()},
+        telemetry=tele,
+    )
+
 
 def _prune_dominated(points):
     """Keep the Pareto-optimal (area, speedup) points, sorted by area."""

@@ -33,12 +33,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..baselines.common import BaselineResult
-from ..baselines.novia import Novia
-from ..baselines.qscores import QsCores
-from ..framework import Cayman, CaymanResult
-from ..model.estimator import ESTIMATOR_VERSION
-from ..telemetry import Telemetry, merge_snapshots, use as use_telemetry
+from ..baselines.novia import NOVIA
+from ..baselines.qscores import QSCORES
+from ..framework import (
+    CAYMAN, COUPLED_ONLY, CaymanResult, Flow, prepare, run_flow,
+)
+from ..model.estimator import ESTIMATOR_VERSION, AcceleratorModel
+from ..telemetry import (
+    Telemetry, current as current_telemetry, merge_snapshots,
+    use as use_telemetry,
+)
 from ..workloads import get_workload
 
 #: Bumped whenever the on-disk record layout changes (old entries are
@@ -48,7 +52,8 @@ CACHE_SCHEMA_VERSION = 1
 BENCH_SCHEMA_VERSION = 1
 
 #: The four flows of the paper's evaluation, in reporting order.
-FLOW_NAMES = ("cayman", "coupled_only", "novia", "qscores")
+FLOWS = (CAYMAN, COUPLED_ONLY, NOVIA, QSCORES)
+FLOW_NAMES = tuple(flow.name for flow in FLOWS)
 
 #: The paper's small (25%) and large (65%) area budgets.
 DEFAULT_BUDGETS = (0.25, 0.65)
@@ -97,21 +102,30 @@ class BenchmarkComparison:
     suite: str
     cayman: CaymanResult
     coupled_only: CaymanResult
-    novia: BaselineResult
-    qscores: BaselineResult
-    #: Flow-level wall times measured around each flow run.
+    novia: CaymanResult
+    qscores: CaymanResult
+    #: Wall times of the shared preparation (``"prepare"``) and of each
+    #: flow run on it.
     flow_seconds: Dict[str, float] = field(default_factory=dict)
 
     def speedups(self, budget_ratio: float) -> Dict[str, float]:
         return {
-            "cayman": self.cayman.speedup_under_budget(budget_ratio),
-            "coupled_only": self.coupled_only.speedup_under_budget(budget_ratio),
-            "novia": self.novia.speedup_under_budget(budget_ratio),
-            "qscores": self.qscores.speedup_under_budget(budget_ratio),
+            flow: self.result_for(flow).speedup_under_budget(budget_ratio)
+            for flow in FLOW_NAMES
         }
 
-    def result_for(self, flow: str):
+    def result_for(self, flow: str) -> CaymanResult:
         return getattr(self, flow)
+
+
+def _flow_settings(flow: Flow, params: FlowParams) -> Dict:
+    """``run_flow`` keyword arguments of one flow under ``params``."""
+    settings = {"alpha": params.alpha, "prune_threshold": params.prune_threshold}
+    # β is the scratchpad threshold of Cayman's own model; the baselines'
+    # models have no scratchpads.
+    if flow.model is AcceleratorModel:
+        settings["beta"] = params.beta
+    return settings
 
 
 def run_comparison(
@@ -121,6 +135,9 @@ def run_comparison(
 ) -> BenchmarkComparison:
     """Run all four flows on one workload (the single execution path).
 
+    The workload is compiled, profiled, and given its wPST once; the four
+    flows then run on that one prepared program.
+
     ``telemetry`` (when given) is installed as the ambient sink for the
     whole comparison, so every flow's counters land in one per-workload
     snapshot.  Serial and parallel bench runs both evaluate each workload
@@ -128,44 +145,25 @@ def run_comparison(
     bit-identical regardless of ``--jobs`` (identical additions in
     identical order).
     """
-    from ..telemetry import current as current_telemetry
-
     tele = telemetry if telemetry is not None else current_telemetry()
     workload = get_workload(name)
     flow_seconds: Dict[str, float] = {}
-
-    def timed(flow: str, runner):
-        started = time.perf_counter()
-        with tele.span(f"bench.flow:{flow}", workload=name):
-            result = runner.run(
-                workload.source, entry=workload.entry, name=name
-            )
-        flow_seconds[flow] = time.perf_counter() - started
-        return result
+    results: Dict[str, CaymanResult] = {}
 
     with use_telemetry(tele):
-        cayman = timed("cayman", Cayman(
-            alpha=params.alpha, beta=params.beta,
-            prune_threshold=params.prune_threshold,
-        ))
-        coupled = timed("coupled_only", Cayman(
-            alpha=params.alpha, beta=params.beta,
-            prune_threshold=params.prune_threshold, coupled_only=True,
-        ))
-        novia = timed("novia", Novia(
-            alpha=params.alpha, prune_threshold=params.prune_threshold,
-        ))
-        qscores = timed("qscores", QsCores(
-            alpha=params.alpha, prune_threshold=params.prune_threshold,
-        ))
+        started = time.perf_counter()
+        with tele.span("bench.prepare", workload=name):
+            prepared = prepare(workload.source, entry=workload.entry, name=name)
+        flow_seconds["prepare"] = time.perf_counter() - started
+        for flow in FLOWS:
+            started = time.perf_counter()
+            with tele.span(f"bench.flow:{flow.name}", workload=name):
+                results[flow.name] = run_flow(
+                    prepared, flow, **_flow_settings(flow, params)
+                )
+            flow_seconds[flow.name] = time.perf_counter() - started
     return BenchmarkComparison(
-        name=name,
-        suite=workload.suite,
-        cayman=cayman,
-        coupled_only=coupled,
-        novia=novia,
-        qscores=qscores,
-        flow_seconds=flow_seconds,
+        name=name, suite=workload.suite, flow_seconds=flow_seconds, **results
     )
 
 
@@ -262,8 +260,8 @@ class WorkloadRecord:
     table2: Dict[str, Dict]
     #: selector counters for the two Cayman flows.
     selector_stats: Dict[str, Dict[str, int]]
-    #: per-stage wall times (compile/profile/analysis/selection/merging of
-    #: the full Cayman flow, plus per-flow totals).
+    #: per-stage wall times of the full Cayman flow (``PIPELINE_STAGES``),
+    #: plus ``flow_prepare`` and per-flow totals.
     stage_seconds: Dict[str, float]
     runtime_seconds: float
 
@@ -408,13 +406,28 @@ class BenchCache:
 # Process-pool worker (module-level so it pickles) -------------------------------
 
 
-def _evaluate_worker(name: str, params_payload: Dict) -> Dict:
-    params = FlowParams.from_dict(params_payload)
-    key = cache_key(name, params)
+def _evaluate_workload(
+    name: str, params: FlowParams, key: str
+) -> Tuple[BenchmarkComparison, WorkloadRecord, Dict]:
+    """Evaluate one workload against its own fresh :class:`Telemetry`.
+
+    Every evaluation — serial, pooled, or full-object — goes through here,
+    so serial and parallel runs perform identical counter additions in
+    identical order.  Returns the comparison, its record, and the
+    telemetry snapshot.
+    """
     tele = Telemetry()
     comparison = run_comparison(name, params, telemetry=tele)
     record = record_from_comparison(comparison, params, key)
-    return {"record": record.to_dict(), "telemetry": tele.snapshot()}
+    return comparison, record, tele.snapshot()
+
+
+def _evaluate_worker(name: str, params_payload: Dict) -> Dict:
+    params = FlowParams.from_dict(params_payload)
+    _, record, snapshot = _evaluate_workload(
+        name, params, cache_key(name, params)
+    )
+    return {"record": record.to_dict(), "telemetry": snapshot}
 
 
 # The engine ---------------------------------------------------------------------
@@ -461,14 +474,7 @@ class EvaluationEngine:
         run over the same cache directory starts warm.
         """
         if name not in self._comparisons:
-            tele = Telemetry()
-            comparison = run_comparison(name, self.params, telemetry=tele)
-            self.telemetry_snapshots[name] = tele.snapshot()
-            self._comparisons[name] = comparison
-            record = record_from_comparison(
-                comparison, self.params, self.key_for(name)
-            )
-            self._remember(record)
+            self._comparisons[name], _ = self._run(name)
         return self._comparisons[name]
 
     # Record path (bench) --------------------------------------------------------
@@ -492,14 +498,7 @@ class EvaluationEngine:
             self.hit_names.add(name)
             return cached
         self.misses += 1
-        tele = Telemetry()
-        comparison = run_comparison(name, self.params, telemetry=tele)
-        self.telemetry_snapshots[name] = tele.snapshot()
-        record = record_from_comparison(
-            comparison, self.params, self.key_for(name)
-        )
-        self._remember(record)
-        return record
+        return self._run(name)[1]
 
     def evaluate(
         self,
@@ -538,37 +537,32 @@ class EvaluationEngine:
                     }
                     for name in missing:
                         payload_out = futures[name].result()
-                        record = WorkloadRecord.from_dict(
+                        records[name] = WorkloadRecord.from_dict(
                             payload_out["record"]
                         )
-                        self.telemetry_snapshots[name] = (
-                            payload_out["telemetry"]
+                        self._remember(
+                            records[name], payload_out["telemetry"]
                         )
-                        self._remember(record)
-                        records[name] = record
                         if progress:
                             progress(name, "done")
             else:
                 for name in missing:
-                    # One fresh Telemetry per workload — exactly what each
-                    # pool worker does — so serial and parallel runs perform
-                    # identical counter additions in identical order.
-                    tele = Telemetry()
-                    comparison = run_comparison(
-                        name, self.params, telemetry=tele
-                    )
-                    self.telemetry_snapshots[name] = tele.snapshot()
-                    record = record_from_comparison(
-                        comparison, self.params, self.key_for(name)
-                    )
-                    self._remember(record)
-                    records[name] = record
+                    records[name] = self._run(name)[1]
                     if progress:
                         progress(name, "done")
         return [records[name] for name in names]
 
-    def _remember(self, record: WorkloadRecord) -> None:
+    def _run(self, name: str) -> Tuple[BenchmarkComparison, WorkloadRecord]:
+        """Evaluate one workload in this process and remember the result."""
+        comparison, record, snapshot = _evaluate_workload(
+            name, self.params, self.key_for(name)
+        )
+        self._remember(record, snapshot)
+        return comparison, record
+
+    def _remember(self, record: WorkloadRecord, snapshot: Dict) -> None:
         self._records[record.name] = record
+        self.telemetry_snapshots[record.name] = snapshot
         if self.cache is not None:
             self.cache.put(record)
 

@@ -1,19 +1,20 @@
 """Table I regeneration: qualitative capability comparison.
 
-The capability flags are derived from the implemented framework classes so
-the table stays truthful to the code: e.g. Cayman's model really does
-explore pipelining/unrolling, the QsCores model really is sequential with a
+The capability flags are derived from the flow definitions so the table
+stays truthful to the code: e.g. Cayman's model really does explore
+pipelining/unrolling, the QsCores model really is sequential with a
 scan-chain interface, and the NOVIA model really rejects memory accesses.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from typing import List
+from typing import Any, List
 
-from ..baselines.novia import _EXCLUDED_RESOURCES
-from ..baselines.qscores import QsCoresModel
-from ..model.estimator import AcceleratorModel
+from ..baselines.novia import _EXCLUDED_RESOURCES, NOVIA
+from ..baselines.qscores import QSCORES
+from ..framework import CAYMAN, Flow
 from .formats import render_table
 
 
@@ -27,11 +28,30 @@ class Capability:
     hardware_sharing: str
 
 
+def _model_setting(flow: Flow, name: str) -> Any:
+    """A model knob as the flow runs it: its own kwargs, else the model's
+    default."""
+    if name in flow.model_kwargs:
+        return flow.model_kwargs[name]
+    return inspect.signature(flow.model).parameters[name].default
+
+
+def _control_flow(flow: Flow) -> str:
+    """``optimized`` when the flow's model pipelines or unrolls loops."""
+    optimized = (
+        _model_setting(flow, "pipeline_innermost")
+        or max(_model_setting(flow, "unroll_factors")) > 1
+    )
+    return "optimized" if optimized else "sequential"
+
+
+def _sharing(flow: Flow) -> str:
+    """``restricted`` when the merger demands a minimum datapath match."""
+    return "restricted" if flow.min_match_fraction > 0 else "flexible"
+
+
 def capability_matrix() -> List[Capability]:
     """The Table I rows, with Cayman/NOVIA/QsCores derived from the code."""
-    cayman_modes = AcceleratorModel.INTERFACE_MODES
-    # Cayman's model pipelines/unrolls by default (pipeline_innermost=True).
-    cayman_ctrl = "optimized"
     rows = [
         Capability(
             method="HLS",
@@ -49,39 +69,32 @@ def capability_matrix() -> List[Capability]:
             data_access=(
                 "scalar-only" if "load" in _EXCLUDED_RESOURCES else "memory"
             ),
-            hardware_sharing="restricted",
+            hardware_sharing=_sharing(NOVIA),
         ),
         Capability(
             method="OCA (QsCores)",
             design_entry="application",
             candidate_selection="auto",
-            control_flow=(
-                "sequential" if not _qscores_pipelines() else "optimized"
-            ),
+            control_flow=_control_flow(QSCORES),
             data_access=(
-                "slow" if QsCoresModel.INTERFACE_MODES == ("scanchain",) else "fast"
+                "slow" if QSCORES.model.INTERFACE_MODES == ("scanchain",)
+                else "fast"
             ),
-            hardware_sharing="restricted",
+            hardware_sharing=_sharing(QSCORES),
         ),
         Capability(
             method="Cayman",
             design_entry="application",
             candidate_selection="auto",
-            control_flow=cayman_ctrl,
+            control_flow=_control_flow(CAYMAN),
             data_access=(
-                "specialized" if "full" in cayman_modes else "coupled"
+                "specialized" if "full" in CAYMAN.model.INTERFACE_MODES
+                else "coupled"
             ),
-            hardware_sharing="flexible",
+            hardware_sharing=_sharing(CAYMAN),
         ),
     ]
     return rows
-
-
-def _qscores_pipelines() -> bool:
-    import inspect
-
-    source = inspect.getsource(QsCoresModel.__init__)
-    return 'kwargs.setdefault("pipeline_innermost", False)' not in source
 
 
 def render_table1() -> str:

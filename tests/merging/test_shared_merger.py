@@ -3,9 +3,9 @@ change any merge decision, only how often a pair is matched."""
 
 import pytest
 
-from repro.baselines.novia import Novia
-from repro.baselines.qscores import QsCores
-from repro.framework import Cayman
+from repro.baselines.novia import NOVIA
+from repro.baselines.qscores import QSCORES
+from repro.framework import CAYMAN, Cayman
 from repro.hls import DEFAULT_TECHLIB
 from repro.merging import AcceleratorMerger
 
@@ -34,7 +34,7 @@ def _fingerprint(merged):
 
 @pytest.mark.parametrize(
     "fraction",
-    [0.0, Novia.MIN_MATCH_FRACTION, QsCores.MIN_MATCH_FRACTION],
+    [flow.min_match_fraction for flow in (CAYMAN, NOVIA, QSCORES)],
     ids=["cayman", "novia", "qscores"],
 )
 def test_shared_merger_matches_fresh_mergers(front, fraction):
