@@ -136,8 +136,8 @@ class MemoryDependenceAnalysis:
     on) decides affine same-base pairs with the multi-subscript
     :class:`repro.analysis.dependence.DependenceTester`, yielding proven
     minimal distances and per-level dependence vectors; off, the legacy 1-D
-    stride/window tests decide everything (the before/after baseline used by
-    the ``pipeline_ii`` bench section).
+    stride/window tests decide everything (the ``vector_distances`` knob
+    of the bench ``ablation`` section).
     """
 
     def __init__(

@@ -561,15 +561,12 @@ def _cmd_bench(args) -> int:
         BenchCache,
         EvaluationEngine,
         FlowParams,
-        area_narrowing_stats,
+        ablation_stats,
         build_report,
         compare_reports,
         default_tag,
         interp_elision_stats,
         load_report,
-        pipeline_ii_stats,
-        reuse_buffers_stats,
-        spad_banking_stats,
         write_report,
     )
     from .workloads import all_workloads
@@ -602,41 +599,22 @@ def _cmd_bench(args) -> int:
     records = engine.evaluate(names, jobs=args.jobs, progress=progress)
     wall = time.perf_counter() - started
 
+    # The probes run on a bounded prefix of the workloads to keep full-suite
+    # runs fast; a count of 0 skips the probe.
     elision = None
-    if not args.no_interp_bench:
-        # Before/after interpreter throughput with bounds-check elision,
-        # probed on a bounded prefix to keep full-suite runs fast.
+    if args.interp_bench_count > 0:
+        # Before/after interpreter throughput with bounds-check elision.
         elision = interp_elision_stats(names[: args.interp_bench_count])
 
-    narrowing = None
-    if not args.no_area_narrowing:
-        # Type-width vs proven-width datapath area at equal latency,
-        # bounded the same way as the elision probe.
-        narrowing = area_narrowing_stats(names[: args.area_narrowing_count])
-
-    pipeline_ii = None
-    if not args.no_pipeline_ii:
-        # Legacy windowed vs dependence-vector pipeline II at equal area,
-        # bounded the same way as the other probes.
-        pipeline_ii = pipeline_ii_stats(names[: args.pipeline_ii_count])
-
-    spad_banking = None
-    if not args.no_spad_banking:
-        # Assumed vs proven scratchpad banking pipeline II at equal area,
-        # bounded the same way as the other probes.
-        spad_banking = spad_banking_stats(names[: args.spad_banking_count])
-
-    reuse_buffers = None
-    if not args.no_reuse_buffers:
-        # Port pressure and II with vs without proven reuse buffers,
-        # bounded the same way as the other probes.
-        reuse_buffers = reuse_buffers_stats(names[: args.reuse_buffers_count])
+    ablation = None
+    if args.ablation_count > 0:
+        # Each estimator knob off vs on, over the real estimator.
+        ablation = ablation_stats(names[: args.ablation_count], params)
 
     tag = args.tag or default_tag(params)
     payload = build_report(
         records, engine, tag=tag, wall_seconds=wall, interp_elision=elision,
-        area_narrowing=narrowing, pipeline_ii=pipeline_ii,
-        spad_banking=spad_banking, reuse_buffers=reuse_buffers,
+        ablation=ablation,
     )
     path = write_report(payload, directory=args.output_dir)
 
@@ -658,44 +636,14 @@ def _cmd_bench(args) -> int:
                   f"({stat['proven_accesses']}/{stat['total_accesses']} "
                   f"proven), compiled engine "
                   f"{stat['engine_speedup']:.1f}x over reference")
-    if narrowing:
-        total_type = sum(s["type_area_um2"] for s in narrowing.values())
-        total_proven = sum(s["proven_area_um2"] for s in narrowing.values())
-        for name, stat in narrowing.items():
-            equal = "equal latency" if stat["latency_equal"] else (
-                f"latency {stat['latency_type']} -> {stat['latency_proven']}")
-            print(f"narrow {name}: {stat['type_area_um2']:.0f} -> "
-                  f"{stat['proven_area_um2']:.0f} um2 "
-                  f"(-{stat['saving_pct']:.1f}%), "
-                  f"{stat['narrowed_ops']}/{stat['int_ops']} int ops "
-                  f"narrowed, {equal}")
-        if total_type:
-            print(f"narrow aggregate: {total_type:.0f} -> {total_proven:.0f} "
-                  f"um2 datapath FU area "
-                  f"(-{100.0 * (1.0 - total_proven / total_type):.1f}%)")
-    if pipeline_ii:
-        for name, stat in pipeline_ii.items():
-            print(f"pipeii {name}: II {stat['ii_before_total']} -> "
-                  f"{stat['ii_after_total']} over {stat['pipelined_loops']} "
-                  f"pipelined loops ({stat['improved_loops']} improved, "
-                  f"equal area)")
-    if spad_banking:
-        for name, stat in spad_banking.items():
-            print(f"banks  {name}: II {stat['ii_before_total']} -> "
-                  f"{stat['ii_after_total']} over {stat['probed_loops']} "
-                  f"probed loops ({stat['proven_groups']}/{stat['groups']} "
-                  f"groups proven, {stat['serialized_groups']} serialized, "
-                  f"equal area)")
-    if reuse_buffers:
-        for name, stat in reuse_buffers.items():
-            print(f"reuse  {name}: ports "
-                  f"{stat['ports_before_total']} -> "
-                  f"{stat['ports_after_total']}, II "
-                  f"{stat['ii_before_total']} -> {stat['ii_after_total']} "
-                  f"over {stat['probed_loops']} probed loops "
-                  f"({stat['pairs_proven']} proven pairs, "
-                  f"{stat['buffered_consumers']} buffered, "
-                  f"{stat['register_bits']} register bits)")
+    for name, knobs in (ablation or {}).items():
+        for knob, stat in knobs.items():
+            print(f"ablate {name} {knob}: cycles {stat['cycles_off']:.0f} -> "
+                  f"{stat['cycles_on']:.0f}, area {stat['area_off']:.0f} -> "
+                  f"{stat['area_on']:.0f} um2, II {stat['ii_off']} -> "
+                  f"{stat['ii_on']}, ports {stat['ports_off']} -> "
+                  f"{stat['ports_on']} ({stat['changed']}/{stat['configs']} "
+                  f"configs changed)")
     stats = engine.cache_stats()
     print(f"\n{len(records)} workloads in {wall:.2f}s "
           f"(jobs={args.jobs}, cache hits {stats['hits']}, "
@@ -1026,37 +974,15 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--min-hit-rate", type=float,
                        help="fail if the cache hit rate is below this")
     bench.add_argument("--quiet", action="store_true")
-    bench.add_argument("--no-interp-bench", action="store_true",
-                       help="skip the interpreter elision throughput probe")
     bench.add_argument("--interp-bench-count", type=int, default=2,
                        metavar="N",
                        help="probe elision throughput on the first N "
-                            "workloads (default 2)")
-    bench.add_argument("--no-area-narrowing", action="store_true",
-                       help="skip the datapath-narrowing area probe")
-    bench.add_argument("--area-narrowing-count", type=int, default=4,
+                            "workloads (default 2, 0 disables)")
+    bench.add_argument("--ablation-count", type=int, default=4,
                        metavar="N",
-                       help="probe type-width vs proven-width datapath "
-                            "area on the first N workloads (default 4)")
-    bench.add_argument("--no-pipeline-ii", action="store_true",
-                       help="skip the dependence-vector pipeline-II probe")
-    bench.add_argument("--pipeline-ii-count", type=int, default=6,
-                       metavar="N",
-                       help="probe windowed vs dependence-vector pipeline "
-                            "II on the first N workloads (default 6)")
-    bench.add_argument("--no-spad-banking", action="store_true",
-                       help="skip the scratchpad bank-conflict probe")
-    bench.add_argument("--spad-banking-count", type=int, default=6,
-                       metavar="N",
-                       help="probe assumed vs proven scratchpad banking "
-                            "II on the first N workloads (default 6)")
-    bench.add_argument("--no-reuse-buffers", action="store_true",
-                       help="skip the reuse shift-register buffer probe")
-    bench.add_argument("--reuse-buffers-count", type=int, default=6,
-                       metavar="N",
-                       help="probe port pressure and II with vs without "
-                            "proven reuse buffers on the first N workloads "
-                            "(default 6)")
+                       help="turn each estimator knob off in turn and "
+                            "report cycles, area, II and port deltas on "
+                            "the first N workloads (default 4, 0 disables)")
     bench.set_defaults(func=_cmd_bench)
 
     trace = sub.add_parser(

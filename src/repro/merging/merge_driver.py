@@ -66,9 +66,6 @@ class MergedSolution:
     unit_groups: List[int] = field(default_factory=list)
     #: Group root per entry of `accelerators` (same id space as unit_groups).
     group_roots: List[int] = field(default_factory=list)
-    #: FU area recovered specifically by width-aware matching: saving the
-    #: legacy binary 32/64 bucketing could not have realized.
-    width_recovered_area: float = 0.0
 
     @property
     def saving(self) -> float:
@@ -161,10 +158,6 @@ class AcceleratorMerger:
                     "merging.pair_cache_hits", self.pair_cache_hits - hits
                 )
                 tele.count("merging.recovered_area_um2", merged.saving)
-                tele.count(
-                    "merging.width_recovered_area_um2",
-                    merged.width_recovered_area,
-                )
         return merged
 
     def _new_key(self) -> int:
@@ -212,7 +205,6 @@ class AcceleratorMerger:
 
         uf = _UnionFind(len(solution.accelerators))
         total_step_saving = 0.0
-        width_recovered = 0.0
         steps = 0
         keys = [self._original_key(unit.dfg) for unit in units]
         savings = self._savings
@@ -252,14 +244,13 @@ class AcceleratorMerger:
             keys = [key for k, key in enumerate(keys) if k not in (i, j)]
             keys.append(merged_key)
             total_step_saving += best_saving
-            width_recovered += match.width_recovered_area
             steps += 1
 
         self.pairs_evaluated += evaluated
         self.pair_cache_hits += hits
         return self._finalize(
             solution, area_before, total_step_saving, units, kernel_of_owner,
-            uf, steps, width_recovered
+            uf, steps
         )
 
     #: Fraction of redundant interface hardware a reusable accelerator can
@@ -276,7 +267,6 @@ class AcceleratorMerger:
         kernel_of_owner: Dict[int, str],
         uf: _UnionFind,
         steps: int,
-        width_recovered: float = 0.0,
     ) -> MergedSolution:
         # Group accelerators by union-find root.
         groups: Dict[int, List[int]] = {}
@@ -326,7 +316,6 @@ class AcceleratorMerger:
             units=list(units),
             unit_groups=[uf.find(u.owner) for u in units],
             group_roots=group_roots,
-            width_recovered_area=width_recovered,
         )
 
 

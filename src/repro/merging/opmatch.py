@@ -38,7 +38,6 @@ class MatchResult:
     mux_area: float = 0.0          # multiplexers inserted on shared inputs
     config_bits: int = 0           # reconfiguration bit registers for muxes
     width_glue_area: float = 0.0   # zero-extend glue for width-mixed pairs
-    width_recovered_area: float = 0.0  # saving the binary bucketing missed
 
     @property
     def net_saving(self) -> float:
@@ -48,7 +47,8 @@ class MatchResult:
 
 
 def _bucket(bits: int) -> int:
-    """The legacy binary width class (pre-bitwidth-analysis behavior)."""
+    """Binary 32/64 width class: float ops and memory port logic share only
+    within one (integer compute ops match across widths instead)."""
     return 64 if bits > 32 else 32
 
 
@@ -122,24 +122,13 @@ def match_units(
         shared_bits = max(bits_a, bits_b)
         # Sharing keeps one instance at the max width: the saving is the
         # smaller member's area.
-        saved = (
+        result.shared_area += (
             techlib.area(resource, bits_a)
             + techlib.area(resource, bits_b)
             - techlib.area(resource, shared_bits)
         )
-        result.shared_area += saved
         if bits_a != bits_b:
             result.width_glue_area += techlib.area("zext", shared_bits)
-        if resource in _INT_MERGEABLE:
-            if _bucket(bits_a) != _bucket(bits_b):
-                # The binary bucketing could not merge this pair at all.
-                result.width_recovered_area += saved
-            else:
-                # It could, but would have billed the bucket width.
-                result.width_recovered_area += (
-                    techlib.area(resource, _bucket(shared_bits))
-                    - techlib.area(resource, shared_bits)
-                )
         # One mux per operand position whose producers differ.
         arity = max(len(node_a.preds), len(node_b.preds))
         for slot in range(arity):

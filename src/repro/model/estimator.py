@@ -79,8 +79,8 @@ class FunctionContext:
             intervals.for_function(func) if intervals is not None else None
         )
         #: ``vector_distances=False`` falls back to the 1-D windowed distance
-        #: test (pre-dependence-vector behavior) — the "before" variant of
-        #: the bench ``pipeline_ii`` comparison.
+        #: test (pre-dependence-vector behavior); the bench ``ablation``
+        #: section reports what the vector engine buys.
         self.memdep = MemoryDependenceAnalysis(
             self.access, points_to=points_to, intervals=self.intervals,
             vector_distances=vector_distances,
@@ -205,6 +205,7 @@ class AcceleratorModel:
         narrow_widths: bool = True,
         prove_banking: bool = True,
         prove_reuse: bool = True,
+        vector_distances: bool = True,
     ):
         self.module = module
         self.profile = profile
@@ -215,17 +216,19 @@ class AcceleratorModel:
         self.coupled_only = coupled_only
         self.pipeline_innermost = pipeline_innermost
         self.legality_prefilter = legality_prefilter
+        # Each knob below is on by default; the bench ``ablation`` section
+        # turns them off one at a time and reports what each one buys.
         #: ``False`` prices every DFG node at its type width (pre-bitwidth
-        #: behavior) — used for the bench ``area_narrowing`` comparison.
+        #: behavior).
         self.narrow_widths = narrow_widths
         #: ``False`` keeps the pre-verdict optimism (claimed partitions are
-        #: trusted as parallel) — the "before" variant of the bench
-        #: ``spad_banking`` comparison.
+        #: trusted as parallel).
         self.prove_banking = prove_banking
         #: ``False`` keeps every scratchpad load on a port (pre-reuse
-        #: behavior) — the "before" variant of the bench ``reuse_buffers``
-        #: comparison.  Proven pairs otherwise become register chains.
+        #: behavior).  Proven pairs otherwise become register chains.
         self.prove_reuse = prove_reuse
+        #: ``False`` falls back to the 1-D windowed distance test.
+        self.vector_distances = vector_distances
         #: Configurations rejected by the legality pre-filter, as
         #: ``(config, diagnostics)`` pairs — inspectable after a run.
         self.rejected_configs: List[Tuple[AcceleratorConfig, list]] = []
@@ -255,6 +258,7 @@ class AcceleratorModel:
                 points_to=self._points_to,
                 intervals=self._intervals,
                 bitwidth=self._bitwidth if self.narrow_widths else None,
+                vector_distances=self.vector_distances,
             )
         return self._contexts[func]
 

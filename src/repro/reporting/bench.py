@@ -39,6 +39,8 @@ from ..framework import (
     CAYMAN, COUPLED_ONLY, CaymanResult, Flow, prepare, run_flow,
 )
 from ..model.estimator import ESTIMATOR_VERSION, AcceleratorModel
+from ..model.interfaces import InterfaceKind
+from ..selection.pruning import PruneHeuristic
 from ..telemetry import (
     Telemetry, current as current_telemetry, merge_snapshots,
     use as use_telemetry,
@@ -661,494 +663,89 @@ def interp_elision_stats(names: Sequence[str]) -> Dict[str, Dict]:
     return stats
 
 
-# Datapath-narrowing area probe --------------------------------------------------
+# Knob ablation over the real estimator -----------------------------------------
+
+#: The :class:`AcceleratorModel` knobs the ``ablation`` section turns off,
+#: one at a time.
+ABLATION_KNOBS = (
+    "narrow_widths", "vector_distances", "prove_banking", "prove_reuse",
+)
 
 
-def area_narrowing_stats(names: Sequence[str]) -> Dict[str, Dict]:
-    """Type-width vs bitwidth-proven datapath area, at equal latency.
-
-    Compiles each workload and prices every function's per-block DFGs
-    twice — once at type widths (``narrow_widths=False`` pricing) and once
-    at the bitwidth-proven widths — then list-schedules both variants.
-    Narrowing only shrinks operator area (delay is width-invariant at or
-    below 32 bits, see ``docs/bitwidth.md``), so the proven-width schedule
-    is expected to be exactly as long; ``latency_equal`` records that.
-    Every field is an exact count or a deterministic area sum, so the
-    whole section participates in ``compare_reports``.
-    """
-    from ..dataflow import ModuleBitwidthAnalysis
-    from ..frontend.lowering import compile_source
-    from ..hls.dfg import DFG
-    from ..hls.scheduling import AccessTiming, schedule_dfg
-    from ..hls.techlib import DEFAULT_TECHLIB
-
-    def timing(_node):
-        # Fixed contention-free access timing: identical for both variants,
-        # so any latency difference is attributable to operator widths.
-        return AccessTiming(latency=2, port=None)
-
-    stats: Dict[str, Dict] = {}
-    for name in names:
-        workload = get_workload(name)
-        module = compile_source(workload.source, workload.name)
-        bitwidth = ModuleBitwidthAnalysis(module)
-        int_ops = narrowed_ops = 0
-        type_area = proven_area = 0.0
-        latency_type = latency_proven = 0
-        for func in module.defined_functions():
-            summary = bitwidth.function_summary(func)
-            int_ops += int(summary["int_ops"])
-            narrowed_ops += int(summary["narrowed_ops"])
-            type_area += summary["type_area_um2"]
-            proven_area += summary["proven_area_um2"]
-            widths = bitwidth.width_map(func)
-            for block in func.blocks:
-                wide = DFG.from_blocks([block])
-                if not wide.nodes:
-                    continue
-                narrow = DFG.from_blocks([block], widths=widths)
-                latency_type += schedule_dfg(
-                    wide, DEFAULT_TECHLIB, timing
-                ).length
-                latency_proven += schedule_dfg(
-                    narrow, DEFAULT_TECHLIB, timing
-                ).length
-        saving = (1.0 - proven_area / type_area) if type_area else 0.0
-        stats[name] = {
-            "int_ops": int_ops,
-            "narrowed_ops": narrowed_ops,
-            "type_area_um2": round(type_area, 6),
-            "proven_area_um2": round(proven_area, 6),
-            "saving_pct": round(100.0 * saving, 3),
-            "latency_type": latency_type,
-            "latency_proven": latency_proven,
-            "latency_equal": latency_type == latency_proven,
-        }
-    return stats
+def _estimate_metrics(estimate) -> Tuple[float, float, int, int]:
+    """(cycles, area, summed pipeline II, scratchpad port accesses)."""
+    ii = sum(r.ii for r in estimate.reports if r.kind == "pipelined")
+    ports = sum(
+        1 for a in estimate.config.plan.assignments.values()
+        if a.kind is InterfaceKind.SCRATCHPAD and not a.reuse_buffered
+    )
+    return estimate.cycles, estimate.area, ii, ports
 
 
-# Pipeline-II dependence-vector probe --------------------------------------------
+def ablation_stats(
+    names: Sequence[str], params: FlowParams
+) -> Dict[str, Dict[str, Dict]]:
+    """What each estimator knob buys, measured with the estimator itself.
 
-
-def pipeline_ii_stats(names: Sequence[str]) -> Dict[str, Dict]:
-    """Before/after pipeline II with proven dependence distances, equal area.
-
-    Pipelines every innermost loop of each workload twice over the *same*
-    body DFG (so area is identical by construction): once with the legacy
-    1-D windowed dependence test (``vector_distances=False``) and once with
-    the affine dependence-vector engine.  A recurrence of latency L at
-    proven distance d only forces II ≥ ceil(L / d), so proven distances > 1
-    lower the recurrence-constrained II.  Access timing is fixed
-    (contention-free, latency 2) to isolate the recurrence effect; latency
-    is evaluated at the interval-proven trip bound (nominal 100 when
-    unproven).  Every field is an exact count, so the whole section
-    participates in :func:`compare_reports`.
-    """
-    from ..dataflow import ModuleIntervalAnalysis, PointsToAnalysis
-    from ..frontend.lowering import compile_source
-    from ..hls.dfg import DFG
-    from ..hls.pipeline import pipeline_loop
-    from ..hls.scheduling import AccessTiming
-    from ..hls.techlib import DEFAULT_TECHLIB
-    from ..model.estimator import FunctionContext, loop_recurrences
-
-    def timing(_node):
-        return AccessTiming(latency=2, port=None)
-
-    stats: Dict[str, Dict] = {}
-    for name in names:
-        workload = get_workload(name)
-        module = compile_source(workload.source, workload.name)
-        intervals = ModuleIntervalAnalysis(module)
-        points_to = PointsToAnalysis(module)
-        loops: List[Dict] = []
-        for func in module.defined_functions():
-            contexts = {
-                variant: FunctionContext(
-                    func, points_to=points_to, intervals=intervals,
-                    vector_distances=variant,
-                )
-                for variant in (False, True)
-            }
-            after = contexts[True]
-            # The two contexts build separate Loop objects over the same
-            # blocks; match them by their (identical) block sets.
-            before_by_blocks = {
-                frozenset(l.blocks): l for l in contexts[False].loop_info.loops
-            }
-            for loop in after.loop_info.loops:
-                if not loop.is_innermost:
-                    continue
-                dfg = DFG.from_blocks(
-                    after.ordered_blocks(loop.blocks), may_alias=after.may_alias
-                )
-                if not dfg.nodes:
-                    continue
-                before_loop = before_by_blocks[frozenset(loop.blocks)]
-                trip = after.static_trip_bound(loop) or 100
-
-                def pipelined(ctx, ctx_loop):
-                    return pipeline_loop(
-                        dfg, DEFAULT_TECHLIB, timing,
-                        recurrences=loop_recurrences(ctx_loop, dfg, ctx),
-                    )
-
-                before = pipelined(contexts[False], before_loop)
-                result = pipelined(after, loop)
-                loops.append({
-                    "function": func.name,
-                    "loop": loop.name,
-                    "trip": trip,
-                    "depth": result.depth,
-                    "rec_mii_before": before.rec_mii,
-                    "rec_mii_after": result.rec_mii,
-                    "ii_before": before.ii,
-                    "ii_after": result.ii,
-                    "latency_before": round(before.latency(trip), 3),
-                    "latency_after": round(result.latency(trip), 3),
-                })
-        loops.sort(key=lambda entry: (entry["function"], entry["loop"]))
-        stats[name] = {
-            "loops": loops,
-            "pipelined_loops": len(loops),
-            "improved_loops": sum(
-                1 for e in loops if e["ii_after"] < e["ii_before"]
-            ),
-            "ii_before_total": sum(e["ii_before"] for e in loops),
-            "ii_after_total": sum(e["ii_after"] for e in loops),
-        }
-    return stats
-
-
-# Scratchpad-banking soundness probe ---------------------------------------------
-
-
-def spad_banking_stats(names: Sequence[str]) -> Dict[str, Dict]:
-    """Before/after pipeline II with proven banking verdicts, equal area.
-
-    For every innermost loop with a legal unroll factor > 1, probes each
-    global-array scratchpad group with the bank-conflict analysis at the
-    largest legal factor ``U`` and pipelines the *same* body DFG twice:
-    once with the historically-optimistic port budget (``2·U`` ports per
-    group — the claimed cyclic-``U`` banking, every bank dual-ported) and
-    once with the proven budget (``2·banks`` of the cheapest
-    conflict-free scheme, or ``2`` — one dual-ported bank — when no
-    scheme is provable and the group must serialize).  Both variants
-    price the same claimed banks, so area is identical by construction;
-    each access carries occupancy ``U`` (its unrolled lane replicas).
-    An II increase is therefore a *soundness* delta: cycles the old
-    model hid behind bank conflicts it never checked.  Every field is an
-    exact count, so the whole section participates in
-    :func:`compare_reports`.
-    """
-    from ..analysis.banking import probe_function
-    from ..dataflow import ModuleIntervalAnalysis, PointsToAnalysis
-    from ..frontend.lowering import compile_source
-    from ..hls.dfg import DFG
-    from ..hls.pipeline import pipeline_loop
-    from ..hls.scheduling import AccessTiming
-    from ..hls.techlib import DEFAULT_TECHLIB
-    from ..ir import GlobalVariable
-    from ..model.estimator import FunctionContext, loop_recurrences
-
-    stats: Dict[str, Dict] = {}
-    for name in names:
-        workload = get_workload(name)
-        module = compile_source(workload.source, workload.name)
-        intervals = ModuleIntervalAnalysis(module)
-        points_to = PointsToAnalysis(module)
-        loops: List[Dict] = []
-        for func in module.defined_functions():
-            ctx = FunctionContext(
-                func, points_to=points_to, intervals=intervals
-            )
-            probes = probe_function(
-                ctx.access, ctx.loop_info, ctx.memdep,
-                intervals=intervals.for_function(func),
-                bases=(GlobalVariable,),
-            )
-            by_loop: Dict = {}
-            for probe in probes:
-                by_loop.setdefault(probe.loop, []).append(probe)
-            for loop in ctx.loop_info.loops:
-                if loop not in by_loop:
-                    continue
-                factor = max(p.factor for p in by_loop[loop])
-                verdicts = {
-                    p.base: p.verdict for p in by_loop[loop]
-                    if p.factor == factor
-                }
-                dfg = DFG.from_blocks(
-                    ctx.ordered_blocks(loop.blocks), may_alias=ctx.may_alias
-                )
-                if not dfg.nodes:
-                    continue
-                bases = {base.name: base for base in verdicts}
-                ports_before = {
-                    base_name: 2 * factor for base_name in bases
-                }
-                ports_after = {}
-                occupancy_after = {}
-                groups = []
-                for base_name in sorted(bases):
-                    verdict = verdicts[bases[base_name]]
-                    banks = verdict.best.banks if verdict.proven else 1
-                    ports_after[base_name] = 2 * banks
-                    # A proven scheme bounds the distinct simultaneous
-                    # addresses by its bank count (a broadcast load
-                    # collapses to one); an unproven group issues all
-                    # ``factor`` lane replicas serially.
-                    occupancy_after[base_name] = (
-                        min(factor, banks) if verdict.proven else factor
-                    )
-                    groups.append({
-                        "base": base_name,
-                        "scheme": (
-                            verdict.best.label if verdict.proven
-                            else "serialized"
-                        ),
-                        "banks_claimed": factor,
-                        "banks_proven": banks,
-                    })
-
-                def make_timing(occupancies):
-                    def timing(node):
-                        info = ctx.access.info(node.inst)
-                        base = getattr(info, "base", None)
-                        if base in verdicts:
-                            return AccessTiming(
-                                latency=2, port=base.name,
-                                occupancy=occupancies[base.name],
-                            )
-                        return AccessTiming(latency=2, port=None)
-                    return timing
-
-                recurrences = loop_recurrences(loop, dfg, ctx)
-                before = pipeline_loop(
-                    dfg, DEFAULT_TECHLIB,
-                    make_timing({b: factor for b in bases}),
-                    port_counts=ports_before, recurrences=recurrences,
-                )
-                after = pipeline_loop(
-                    dfg, DEFAULT_TECHLIB, make_timing(occupancy_after),
-                    port_counts=ports_after, recurrences=recurrences,
-                )
-                trip = ctx.static_trip_bound(loop) or 100
-                loops.append({
-                    "function": func.name,
-                    "loop": loop.name,
-                    "factor": factor,
-                    "trip": trip,
-                    "groups": groups,
-                    "ii_before": before.ii,
-                    "ii_after": after.ii,
-                    "latency_before": round(before.latency(trip), 3),
-                    "latency_after": round(after.latency(trip), 3),
-                })
-        loops.sort(key=lambda entry: (entry["function"], entry["loop"]))
-        all_groups = [g for e in loops for g in e["groups"]]
-        stats[name] = {
-            "loops": loops,
-            "probed_loops": len(loops),
-            "groups": len(all_groups),
-            "proven_groups": sum(
-                1 for g in all_groups if g["scheme"] != "serialized"
-            ),
-            "serialized_groups": sum(
-                1 for g in all_groups if g["scheme"] == "serialized"
-            ),
-            "regressed_loops": sum(
-                1 for e in loops if e["ii_after"] > e["ii_before"]
-            ),
-            "ii_before_total": sum(e["ii_before"] for e in loops),
-            "ii_after_total": sum(e["ii_after"] for e in loops),
-        }
-    return stats
-
-
-# Reuse-buffer probe --------------------------------------------------------------
-
-
-def reuse_buffers_stats(names: Sequence[str]) -> Dict[str, Dict]:
-    """Before/after port pressure and pipeline II with proven reuse pairs.
-
-    For every innermost loop with a global-array scratchpad group, probes
-    the data-reuse analysis and pipelines the *same* body DFG twice: once
-    with every group access on a dual-ported scratchpad port, and once
-    with each provably-reusing consumer fed from a shift-register tap
-    (latency 1, no port) instead — exactly the lowering the estimator
-    applies.  A port-count or II drop is therefore the measured payoff of
-    the proof; workloads without provable reuse report identical
-    before/after numbers.  Every field is an exact count, so the whole
+    Per workload the program is prepared once; the default
+    :class:`AcceleratorModel` (every knob on) and one model per knob with
+    only that knob off then estimate every configuration of every hot
+    region — the region vertices the selector explores (candidate regions
+    the prune heuristic keeps).  Configurations are matched by (region,
+    label); ``*_off`` / ``*_on`` are the totals over the matched ones of
+    cycles, area, summed pipeline II, and scratchpad port accesses that
+    are not reuse-buffered.  Every field is deterministic, so the whole
     section participates in :func:`compare_reports`.
     """
-    from ..analysis.reuse import select_buffers
-    from ..analysis.reuse import probe_function as reuse_probes
-    from ..dataflow import ModuleIntervalAnalysis, PointsToAnalysis
-    from ..frontend.lowering import compile_source
-    from ..hls.dfg import DFG
-    from ..hls.pipeline import pipeline_loop
-    from ..hls.scheduling import AccessTiming
-    from ..hls.techlib import DEFAULT_TECHLIB, SPAD_LATENCY
-    from ..ir import GlobalVariable, Load, Store
-    from ..model.estimator import FunctionContext, loop_recurrences
-
-    stats: Dict[str, Dict] = {}
+    stats: Dict[str, Dict[str, Dict]] = {}
     for name in names:
         workload = get_workload(name)
-        module = compile_source(workload.source, workload.name)
-        intervals = ModuleIntervalAnalysis(module)
-        points_to = PointsToAnalysis(module)
-        loops: List[Dict] = []
-        pairs_proven = pairs_unknown = pairs_broken = 0
-        for func in module.defined_functions():
-            ctx = FunctionContext(
-                func, points_to=points_to, intervals=intervals
+        prepared = prepare(workload.source, entry=workload.entry, name=name)
+        prune = PruneHeuristic(prepared.profile, params.prune_threshold)
+
+        def model(**knobs) -> AcceleratorModel:
+            return AcceleratorModel(
+                prepared.module, prepared.profile, beta=params.beta, **knobs
             )
-            probes = reuse_probes(
-                ctx.access, ctx.loop_info, ctx.memdep,
-                intervals=intervals.for_function(func),
-                bases=(GlobalVariable,),
-            )
-            by_loop: Dict = {}
-            for probe in probes:
-                by_loop.setdefault(probe.loop, []).append(probe)
-            for loop in ctx.loop_info.loops:
-                if loop not in by_loop:
-                    continue
-                loop_probes = by_loop[loop]
-                # Value names carry a process-global counter; label the
-                # loop's accesses by textual position instead so the
-                # section is bit-identical across runs (--compare-to).
-                stable: Dict = {}
-                for block in ctx.ordered_blocks(loop.blocks):
-                    for inst in block.instructions:
-                        if isinstance(inst, (Load, Store)):
-                            kind = "ld" if isinstance(inst, Load) else "st"
-                            stable[inst] = f"{kind}{len(stable)}"
-                buffered: Dict = {}
-                groups: List[Dict] = []
-                register_bits = 0
-                for probe in loop_probes:
-                    verdict = probe.verdict
-                    pairs_proven += len(verdict.pairs)
-                    pairs_unknown += len(verdict.unknown)
-                    pairs_broken += len(verdict.broken)
-                    chosen, _over = select_buffers(verdict)
-                    chains: Dict = {}
-                    for inst, pair in chosen.items():
-                        buffered[inst] = pair
-                        depth, bits = chains.get(pair.producer.inst, (0, 0))
-                        chains[pair.producer.inst] = (
-                            max(depth, pair.depth()),
-                            max(bits, 8 * pair.consumer.element_size),
+
+        default = model()
+        hot = [
+            node.region for node in prepared.wpst.region_vertices()
+            if default.is_candidate_region(node.region)
+            and not prune.prune(node)
+        ]
+
+        def measure(variant: AcceleratorModel) -> Dict[Tuple[int, str], Tuple]:
+            # Keyed by the region's position in ``hot``: region names
+            # repeat across functions.
+            metrics = {}
+            for index, region in enumerate(hot):
+                ctx = variant.context(region.function)
+                for config in variant.generate_configs(region):
+                    estimate = variant.estimate(config, ctx)
+                    if estimate is not None:
+                        metrics[index, config.label] = _estimate_metrics(
+                            estimate
                         )
-                    register_bits += sum(
-                        depth * bits for depth, bits in chains.values()
+            return metrics
+
+        on = measure(default)
+        stats[name] = {}
+        for knob in ABLATION_KNOBS:
+            off = measure(model(**{knob: False}))
+            keys = [key for key in on if key in off]
+            entry = {
+                "configs": len(keys),
+                "changed": sum(1 for key in keys if on[key] != off[key]),
+            }
+            for column, (metric, digits) in enumerate(
+                (("cycles", 3), ("area", 6), ("ii", 0), ("ports", 0))
+            ):
+                for side, metrics in (("off", off), ("on", on)):
+                    entry[f"{metric}_{side}"] = round(
+                        sum(metrics[key][column] for key in keys), digits
                     )
-                    groups.append({
-                        "base": verdict.base_name,
-                        "pairs": [
-                            dict(
-                                p.to_dict(),
-                                producer=stable.get(
-                                    p.producer.inst, p.producer.inst.name or "?"
-                                ),
-                                consumer=stable.get(
-                                    p.consumer.inst, p.consumer.inst.name or "?"
-                                ),
-                            )
-                            for p in verdict.pairs
-                        ],
-                        "unknown": len(verdict.unknown),
-                        "broken": len(verdict.broken),
-                        "buffered": sorted(
-                            stable.get(inst, inst.name or "?")
-                            for inst in chosen
-                        ),
-                    })
-                dfg = DFG.from_blocks(
-                    ctx.ordered_blocks(loop.blocks), may_alias=ctx.may_alias
-                )
-                if not dfg.nodes:
-                    continue
-                bases = {p.base for p in loop_probes}
-                members = [
-                    node.inst for node in dfg.nodes
-                    if isinstance(node.inst, (Load, Store))
-                    and getattr(ctx.access.info(node.inst), "base", None)
-                    in bases
-                ]
-                ports_before = len(members)
-                ports_after = ports_before - sum(
-                    1 for inst in members if inst in buffered
-                )
-
-                def make_timing(use_buffers):
-                    def timing(node):
-                        info = ctx.access.info(node.inst)
-                        base = getattr(info, "base", None)
-                        if base in bases:
-                            if use_buffers and node.inst in buffered:
-                                # Register tap: single cycle, no port.
-                                return AccessTiming(latency=1, port=None)
-                            return AccessTiming(
-                                latency=SPAD_LATENCY, port=base.name,
-                                occupancy=1,
-                            )
-                        return AccessTiming(latency=2, port=None)
-                    return timing
-
-                ports = {base.name: 2 for base in bases}
-                recurrences = loop_recurrences(loop, dfg, ctx)
-                before = pipeline_loop(
-                    dfg, DEFAULT_TECHLIB, make_timing(False),
-                    port_counts=ports, recurrences=recurrences,
-                )
-                after = pipeline_loop(
-                    dfg, DEFAULT_TECHLIB, make_timing(True),
-                    port_counts=ports, recurrences=recurrences,
-                )
-                trip = ctx.static_trip_bound(loop) or 100
-                loops.append({
-                    "function": func.name,
-                    "loop": loop.name,
-                    "trip": trip,
-                    "groups": groups,
-                    "port_accesses_before": ports_before,
-                    "port_accesses_after": ports_after,
-                    "register_bits": register_bits,
-                    "ii_before": before.ii,
-                    "ii_after": after.ii,
-                    "latency_before": round(before.latency(trip), 3),
-                    "latency_after": round(after.latency(trip), 3),
-                })
-        loops.sort(key=lambda entry: (entry["function"], entry["loop"]))
-        stats[name] = {
-            "loops": loops,
-            "probed_loops": len(loops),
-            "pairs_proven": pairs_proven,
-            "pairs_unknown": pairs_unknown,
-            "pairs_broken": pairs_broken,
-            "buffered_consumers": sum(
-                e["port_accesses_before"] - e["port_accesses_after"]
-                for e in loops
-            ),
-            "register_bits": sum(e["register_bits"] for e in loops),
-            "improved_loops": sum(
-                1 for e in loops
-                if e["port_accesses_after"] < e["port_accesses_before"]
-                or e["ii_after"] < e["ii_before"]
-            ),
-            "ports_before_total": sum(
-                e["port_accesses_before"] for e in loops
-            ),
-            "ports_after_total": sum(
-                e["port_accesses_after"] for e in loops
-            ),
-            "ii_before_total": sum(e["ii_before"] for e in loops),
-            "ii_after_total": sum(e["ii_after"] for e in loops),
-        }
+            stats[name][knob] = entry
     return stats
 
 
@@ -1161,10 +758,7 @@ def build_report(
     tag: str,
     wall_seconds: float,
     interp_elision: Optional[Dict[str, Dict]] = None,
-    area_narrowing: Optional[Dict[str, Dict]] = None,
-    pipeline_ii: Optional[Dict[str, Dict]] = None,
-    spad_banking: Optional[Dict[str, Dict]] = None,
-    reuse_buffers: Optional[Dict[str, Dict]] = None,
+    ablation: Optional[Dict[str, Dict]] = None,
     telemetry: Optional[Dict] = None,
 ) -> Dict:
     """The machine-readable bench payload (see docs/benchmarking.md)."""
@@ -1185,14 +779,8 @@ def build_report(
     }
     if interp_elision is not None:
         payload["interp_elision"] = interp_elision
-    if area_narrowing is not None:
-        payload["area_narrowing"] = area_narrowing
-    if pipeline_ii is not None:
-        payload["pipeline_ii"] = pipeline_ii
-    if spad_banking is not None:
-        payload["spad_banking"] = spad_banking
-    if reuse_buffers is not None:
-        payload["reuse_buffers"] = reuse_buffers
+    if ablation is not None:
+        payload["ablation"] = ablation
     if telemetry is None:
         telemetry = engine.telemetry_section([r.name for r in records])
     payload["telemetry"] = telemetry
@@ -1234,69 +822,34 @@ def compare_reports(left: Dict, right: Dict) -> List[str]:
         for section in ("key", "flows", "table2", "selector_stats"):
             if a.get(section) != b.get(section):
                 problems.append(f"{name}: section {section!r} differs")
-    left_interp = left.get("interp_elision")
-    right_interp = right.get("interp_elision")
-    if left_interp is not None and right_interp is not None:
-        exact = ("instructions", "proven_accesses", "total_accesses",
-                 "elided", "checked")
-        for name in sorted(set(left_interp) | set(right_interp)):
-            a = left_interp.get(name)
-            b = right_interp.get(name)
+    # Per-workload probe sections: ``interp_elision`` on its exact counts
+    # (its throughputs are wall clock), ``ablation`` as a whole.  A section
+    # is compared only when both reports carry it.
+    probes = (
+        ("interp_elision", ("instructions", "proven_accesses",
+                            "total_accesses", "elided", "checked")),
+        ("ablation", None),
+    )
+    for section, exact in probes:
+        left_section = left.get(section)
+        right_section = right.get(section)
+        if left_section is None or right_section is None:
+            continue
+        for name in sorted(set(left_section) | set(right_section)):
+            a = left_section.get(name)
+            b = right_section.get(name)
             if a is None or b is None:
-                problems.append(f"interp_elision/{name}: in only one report")
-                continue
-            for key in exact:
-                if a.get(key) != b.get(key):
-                    problems.append(
-                        f"interp_elision/{name}: {key} differs "
-                        f"({a.get(key)} vs {b.get(key)})"
-                    )
-    left_narrow = left.get("area_narrowing")
-    right_narrow = right.get("area_narrowing")
-    if left_narrow is not None and right_narrow is not None:
-        # Every field is deterministic (exact counts, frozen-techlib area
-        # sums, schedule lengths) — compare the whole per-workload dict.
-        for name in sorted(set(left_narrow) | set(right_narrow)):
-            a = left_narrow.get(name)
-            b = right_narrow.get(name)
-            if a is None or b is None:
-                problems.append(f"area_narrowing/{name}: in only one report")
-            elif a != b:
-                problems.append(f"area_narrowing/{name}: differs")
-    left_ii = left.get("pipeline_ii")
-    right_ii = right.get("pipeline_ii")
-    if left_ii is not None and right_ii is not None:
-        # Exact counts throughout (IIs, depths, trip bounds): full compare.
-        for name in sorted(set(left_ii) | set(right_ii)):
-            a = left_ii.get(name)
-            b = right_ii.get(name)
-            if a is None or b is None:
-                problems.append(f"pipeline_ii/{name}: in only one report")
-            elif a != b:
-                problems.append(f"pipeline_ii/{name}: differs")
-    left_banking = left.get("spad_banking")
-    right_banking = right.get("spad_banking")
-    if left_banking is not None and right_banking is not None:
-        # Exact counts throughout (IIs, bank counts, verdicts): full compare.
-        for name in sorted(set(left_banking) | set(right_banking)):
-            a = left_banking.get(name)
-            b = right_banking.get(name)
-            if a is None or b is None:
-                problems.append(f"spad_banking/{name}: in only one report")
-            elif a != b:
-                problems.append(f"spad_banking/{name}: differs")
-    left_reuse = left.get("reuse_buffers")
-    right_reuse = right.get("reuse_buffers")
-    if left_reuse is not None and right_reuse is not None:
-        # Exact counts throughout (IIs, port counts, distances): full
-        # compare.
-        for name in sorted(set(left_reuse) | set(right_reuse)):
-            a = left_reuse.get(name)
-            b = right_reuse.get(name)
-            if a is None or b is None:
-                problems.append(f"reuse_buffers/{name}: in only one report")
-            elif a != b:
-                problems.append(f"reuse_buffers/{name}: differs")
+                problems.append(f"{section}/{name}: in only one report")
+            elif exact is None:
+                if a != b:
+                    problems.append(f"{section}/{name}: differs")
+            else:
+                for key in exact:
+                    if a.get(key) != b.get(key):
+                        problems.append(
+                            f"{section}/{name}: {key} differs "
+                            f"({a.get(key)} vs {b.get(key)})"
+                        )
     return problems
 
 

@@ -24,16 +24,16 @@ distance test cannot read a symbolic stride and reports "carried,
 distance unknown" — forcing recurrence II equal to the full recurrence
 latency — while the affine dependence-vector engine resolves the stride
 through interprocedural intervals and proves the real distance, cutting
-the pipeline II at identical area (the ``pipeline_ii`` bench section
-measures exactly this before/after).
+the pipeline II (the ``vector_distances`` knob of the bench ``ablation``
+section measures this).
 
 ``wave-lag`` is the sibling soundness case: the recurrence *distance
 itself* is the argument (``W[j] = f(W[j - lag])``).  The 1-D test sees an
 invariant symbolic offset difference and — assuming lockstep sequences
 stay disjoint — drops the dependence entirely, an unsound claim the
 vector engine repairs by proving the finite distance ``lag``; its
-``pipeline_ii`` delta is therefore an II *increase* (a soundness fix,
-not a regression).
+``vector_distances`` ablation therefore shows its cycles *rising* (a
+soundness fix, not a regression).
 
 ``stride2-collider``, ``bank-transpose`` and ``dual-interleave`` stress
 the scratchpad bank-conflict layer (``repro banks``).  The collider's

@@ -28,7 +28,6 @@ def _fingerprint(merged):
         [unit.name for unit in merged.units],
         merged.unit_groups,
         merged.group_roots,
-        merged.width_recovered_area,
     )
 
 

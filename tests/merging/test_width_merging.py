@@ -45,27 +45,17 @@ class TestIntegerWidthMerging:
         match = match_units(add_dfg(14), add_dfg(14), DEFAULT_TECHLIB)
         assert match.width_glue_area == 0
 
-    def test_width_recovered_area_vs_binary_bucketing(self):
-        # Both adders land in the legacy 32-bit bucket, which would have
-        # billed a full 32-bit unit; the recovered area is the difference
-        # between bucket-width and proven-width pricing.
-        match = match_units(add_dfg(11), add_dfg(14), DEFAULT_TECHLIB)
-        lib = DEFAULT_TECHLIB
-        recovered = lib.area("add", 32) - lib.area("add", 14)
-        assert match.width_recovered_area >= recovered - 1e-9
-
     def test_cross_bucket_pair_recovers_full_saving(self):
-        # 30-bit vs 34-bit: different legacy buckets (32 vs 64), so the
-        # binary bucketing could not merge the pair at all and the whole
-        # saving is recovered.
+        # 30-bit vs 34-bit straddle the 32/64 width classes; integer units
+        # still merge, saving the whole narrower adder.
         match = match_units(add_dfg(30), add_dfg(34), DEFAULT_TECHLIB)
         pair = next(
             (na, nb) for na, nb in match.pairs if na.resource == "add"
         )
-        assert pair is not None
+        assert {pair[0].bits, pair[1].bits} == {30, 34}
         lib = DEFAULT_TECHLIB
         saved = lib.area("add", 30) + lib.area("add", 34) - lib.area("add", 34)
-        assert match.width_recovered_area >= saved - 1e-9
+        assert match.shared_area >= saved - 1e-9
 
     def test_net_saving_positive_for_narrow_adders(self):
         match = match_units(add_dfg(11), add_dfg(14), DEFAULT_TECHLIB)
@@ -84,7 +74,6 @@ class TestFloatWidthClasses:
         dfg_b = DFG.from_blocks([b.get_function("f").entry])
         match = match_units(dfg_a, dfg_b, DEFAULT_TECHLIB)
         assert not any(na.resource == "fadd" for na, _ in match.pairs)
-        assert match.width_recovered_area == 0
 
     def test_same_width_float_adders_do_merge(self):
         module = compile_source(
