@@ -25,7 +25,7 @@ from .hls.techlib import CVA6_TILE_AREA_UM2, DEFAULT_TECHLIB, TechLibrary
 from .interp.profiler import RegionProfile, profile_module
 from .ir import Module
 from .merging.merge_driver import AcceleratorMerger, MergedSolution
-from .model.estimator import AcceleratorModel
+from .model.estimator import AcceleratorModel, ModelAnalyses
 from .selection.knapsack import CandidateSelector
 from .selection.pruning import PruneHeuristic
 from .selection.solution import EMPTY_SOLUTION, Solution
@@ -75,6 +75,17 @@ class PreparedProgram:
     stage_seconds: Dict[str, float]
     #: Wall time of the whole preparation.
     seconds: float
+    _analyses: Optional[ModelAnalyses] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def analyses(self) -> ModelAnalyses:
+        """The model analyses of the module, built on first use and shared
+        by every :class:`AcceleratorModel`-based flow run on the program."""
+        if self._analyses is None:
+            self._analyses = ModelAnalyses(self.module)
+        return self._analyses
 
 
 @dataclass
@@ -302,17 +313,24 @@ def run_flow(
 ) -> CaymanResult:
     """Run one flow on a prepared program: model → selection → merging
     (→ lint).  ``model_kwargs`` override the flow's own (e.g. Cayman's β).
+    An :class:`AcceleratorModel`-based flow gets the program's shared
+    :attr:`PreparedProgram.analyses`.
 
     The result's ``stage_seconds`` and ``runtime_seconds`` include the
     preparation, so they describe the whole flow from source.
     """
     stages = _Stages()
+    model_kwargs = {**flow.model_kwargs, **model_kwargs}
     with _recording() as tele:
         started = time.perf_counter()
         with stages("analysis"):
+            if isinstance(flow.model, type) and issubclass(
+                flow.model, AcceleratorModel
+            ):
+                model_kwargs["analyses"] = prepared.analyses
             model = flow.model(
                 prepared.module, prepared.profile, techlib=techlib,
-                **{**flow.model_kwargs, **model_kwargs},
+                **model_kwargs,
             )
         with stages("selection"):
             selector = CandidateSelector(

@@ -99,6 +99,12 @@ class DFG:
 
     def __init__(self, nodes: List[DFGNode]):
         self.nodes = nodes
+        # A DFG is never edited after construction, so data derived from
+        # its nodes is computed once and kept on the DFG itself.
+        self._order: Optional[List[DFGNode]] = None
+        #: Op-match index of :mod:`repro.merging.opmatch`, built on first
+        #: use (owned by that module).
+        self.match_index = None
 
     @classmethod
     def from_blocks(
@@ -169,6 +175,12 @@ class DFG:
         return [n for n in self.nodes if not n.is_memory]
 
     def topological_order(self) -> List[DFGNode]:
+        """The nodes in dependence order (computed once; do not mutate)."""
+        if self._order is None:
+            self._order = self._topological_order()
+        return self._order
+
+    def _topological_order(self) -> List[DFGNode]:
         indegree = {node: len(node.all_preds()) for node in self.nodes}
         ready = [node for node in self.nodes if indegree[node] == 0]
         order: List[DFGNode] = []

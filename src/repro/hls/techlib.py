@@ -14,7 +14,7 @@ interface area; FSM control logic is cheap compared to datapaths).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 #: Target accelerator clock (500 MHz, paper §IV-A).
 DEFAULT_CLOCK_NS = 2.0
@@ -131,6 +131,26 @@ def _area_factor(resource: str, bits: int) -> float:
     return _NARROW_FLOOR + (1.0 - _NARROW_FLOOR) * ratio
 
 
+def _scaled_op(resource: str, bits: int) -> OpInfo:
+    """``TechLibrary.op`` without the per-library memo."""
+    try:
+        base = _OPS[resource]
+    except KeyError:
+        raise KeyError(f"no characterization for resource {resource!r}") from None
+    if bits == 32:
+        return base
+    area = _area_factor(resource, bits)
+    delay = _delay_factor(bits)
+    if area == 1.0 and delay == 1.0:
+        return base
+    return OpInfo(
+        delay_ns=base.delay_ns * delay,
+        cycles=base.cycles,
+        area_um2=base.area_um2 * area,
+        pipelined=base.pipelined,
+    )
+
+
 def _delay_factor(bits: int) -> float:
     bits = max(1, min(64, bits))
     if bits <= 32:
@@ -191,6 +211,9 @@ class TechLibrary:
         if clock_ns <= 0:
             raise ValueError("clock period must be positive")
         self.clock_ns = clock_ns
+        # (resource, bits) → OpInfo.  OpInfos are frozen and the table is
+        # fixed, so each width-scaled entry is computed once per library.
+        self._ops: Dict[Tuple[str, int], OpInfo] = {}
 
     @property
     def frequency_hz(self) -> float:
@@ -205,22 +228,10 @@ class TechLibrary:
         area (linearly for adders/logic, quadratically for multipliers)
         without touching delay or pipeline latency.
         """
-        try:
-            base = _OPS[resource]
-        except KeyError:
-            raise KeyError(f"no characterization for resource {resource!r}") from None
-        if bits == 32:
-            return base
-        area = _area_factor(resource, bits)
-        delay = _delay_factor(bits)
-        if area == 1.0 and delay == 1.0:
-            return base
-        return OpInfo(
-            delay_ns=base.delay_ns * delay,
-            cycles=base.cycles,
-            area_um2=base.area_um2 * area,
-            pipelined=base.pipelined,
-        )
+        info = self._ops.get((resource, bits))
+        if info is None:
+            info = self._ops[(resource, bits)] = _scaled_op(resource, bits)
+        return info
 
     def latency_cycles(self, resource: str, bits: int = 32) -> int:
         return self.op(resource, bits).cycles

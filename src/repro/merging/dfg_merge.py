@@ -63,34 +63,40 @@ def merge_pair(
 
     # Build the merged DFG from clones so the member units stay intact:
     # every A node survives; unmatched B nodes are kept with their edges to
-    # matched producers rewired onto the shared (A-side) instances.
-    clone_of = {}
+    # matched producers rewired onto the shared (A-side) instances.  Clones
+    # are keyed per side: both members may carry the same DFG object.
     merged_nodes: List[DFGNode] = []
 
-    def clone(node: DFGNode) -> DFGNode:
-        copy = DFGNode(node.inst, node.copy, shared_width.get(node, node.width))
-        clone_of[node] = copy
+    def clone(node: DFGNode, width: Optional[int]) -> DFGNode:
+        copy = DFGNode(node.inst, node.copy, width)
         merged_nodes.append(copy)
         return copy
 
-    def resolve(pred: DFGNode) -> DFGNode:
-        pred = counterpart.get(pred, pred)
-        return clone_of[pred]
+    clone_a = {
+        node: clone(node, shared_width.get(node, node.width))
+        for node in unit_a.dfg.nodes
+    }
+    clone_b = {
+        node: clone(node, node.width)
+        for node in unit_b.dfg.nodes if node not in counterpart
+    }
 
-    for node in unit_a.dfg.nodes:
-        clone(node)
-    for node in unit_b.dfg.nodes:
-        if node not in counterpart:
-            clone(node)
-    for original, copy in list(clone_of.items()):
-        for pred in original.preds:
-            resolved = resolve(pred)
-            copy.preds.append(resolved)
-            resolved.succs.append(copy)
-        for pred in original.order_preds:
-            resolved = resolve(pred)
-            copy.order_preds.append(resolved)
-            resolved.succs.append(copy)
+    def resolve_b(pred: DFGNode) -> DFGNode:
+        if pred in counterpart:
+            return clone_a[counterpart[pred]]
+        return clone_b[pred]
+
+    for clones, resolve in ((clone_a, clone_a.__getitem__),
+                            (clone_b, resolve_b)):
+        for original, copy in clones.items():
+            for pred in original.preds:
+                resolved = resolve(pred)
+                copy.preds.append(resolved)
+                resolved.succs.append(copy)
+            for pred in original.order_preds:
+                resolved = resolve(pred)
+                copy.order_preds.append(resolved)
+                resolved.succs.append(copy)
 
     return MergedUnit(
         name=f"({unit_a.name}+{unit_b.name})",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
-from weakref import WeakKeyDictionary
 
 from ..hls.dfg import DFG, DFGNode
 from ..hls.techlib import CONFIG_BIT_AREA_UM2, TechLibrary
@@ -62,20 +61,18 @@ def _op_key(node: DFGNode) -> Tuple[str, int]:
 
 _OpIndex = Tuple[List[Tuple[str, int]], Dict[Tuple[str, int], List[DFGNode]]]
 
-#: Per-DFG op keys (in node order) and key → nodes buckets, built once per
-#: DFG and reused by every pair the DFG is part of.  Weakly keyed, so an
-#: entry lives exactly as long as its DFG.
-_INDEX: "WeakKeyDictionary[DFG, _OpIndex]" = WeakKeyDictionary()
-
 
 def _op_index(unit: DFG) -> _OpIndex:
-    index = _INDEX.get(unit)
+    """Op keys (in node order) and key → nodes buckets of ``unit``, built
+    once per DFG and kept on it, so every pair the DFG is part of reuses
+    them and they live exactly as long as the DFG."""
+    index = unit.match_index
     if index is None:
         keys = [_op_key(node) for node in unit.nodes]
         by_key: Dict[Tuple[str, int], List[DFGNode]] = {}
         for node, key in zip(unit.nodes, keys):
             by_key.setdefault(key, []).append(node)
-        index = _INDEX[unit] = (keys, by_key)
+        index = unit.match_index = (keys, by_key)
     return index
 
 

@@ -7,10 +7,10 @@ from .interfaces import (
     InterfacePlan,
 )
 from .config import AcceleratorConfig, AcceleratorEstimate, LoopPlan
-from .estimator import AcceleratorModel, FunctionContext
+from .estimator import AcceleratorModel, FunctionContext, ModelAnalyses
 
 __all__ = [
     "InterfaceAssignment", "InterfaceKind", "InterfacePlan",
     "AcceleratorConfig", "AcceleratorEstimate", "LoopPlan",
-    "AcceleratorModel", "FunctionContext",
+    "AcceleratorModel", "FunctionContext", "ModelAnalyses",
 ]

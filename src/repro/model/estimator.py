@@ -63,10 +63,17 @@ class FunctionContext:
     """Cached per-function analyses shared by all candidate evaluations.
 
     ``points_to`` and ``intervals`` are the module-level dataflow results
-    (built once by the model): points-to sharpens ``may_alias`` beyond the
-    same-base test, and interval-proven access windows clamp scratchpad
-    footprint estimates.  ``bitwidth`` supplies proven datapath widths that
-    narrow every DFG node below its type width.
+    (built once per :class:`ModelAnalyses`): points-to sharpens
+    ``may_alias`` beyond the same-base test, and interval-proven access
+    windows clamp scratchpad footprint estimates.  ``bitwidth`` supplies
+    proven datapath widths that narrow every DFG node below its type width.
+
+    The context also memoizes the config-independent synthesis work: DFGs
+    per block tuple and replication, and each unit's schedule length and
+    area per access-timing signature (see :meth:`AcceleratorModel.estimate`).
+    Widths and ``may_alias`` are fixed per context, so a memoized DFG equals
+    a fresh build; DFGs are never edited after construction, so one object
+    can serve every config and every model sharing the context.
     """
 
     def __init__(self, func: Function, points_to=None, intervals=None,
@@ -105,6 +112,29 @@ class FunctionContext:
         from ..analysis.cfg import reverse_postorder
 
         self.rpo_index = {b: i for i, b in enumerate(reverse_postorder(func))}
+        self._dfgs: Dict[Tuple, DFG] = {}
+        #: Memoized sequential blocks: (block, techlib, timing signature)
+        #: → (schedule length, area).
+        self.sequential_units: Dict[Tuple, Tuple[int, AreaBreakdown]] = {}
+        #: Memoized pipelined loops: (loop, replication, unroll, techlib,
+        #: timing signature) → (ii, depth, area).
+        self.pipelined_units: Dict[Tuple, Tuple[int, int, AreaBreakdown]] = {}
+
+    def dfg(self, blocks: Tuple, replication: int = 1) -> DFG:
+        """The DFG of the ordered ``blocks``, replicated ``replication``
+        times (loop-unrolling lanes); built once per context."""
+        key = (blocks, replication)
+        dfg = self._dfgs.get(key)
+        if dfg is None:
+            if replication > 1:
+                dfg = self.dfg(blocks).replicate(replication)
+            else:
+                dfg = DFG.from_blocks(
+                    blocks, may_alias=self.may_alias, widths=self.widths
+                )
+                current_telemetry().count("model.dfg_builds")
+            self._dfgs[key] = dfg
+        return dfg
 
     def may_alias(self, first: Instruction, second: Instruction) -> bool:
         a = self.access.info(first)
@@ -123,8 +153,52 @@ class FunctionContext:
             return None
         return self.intervals.static_trip_bound(loop)
 
-    def ordered_blocks(self, blocks) -> List:
-        return sorted(blocks, key=lambda b: self.rpo_index.get(b, 1 << 30))
+    def ordered_blocks(self, blocks) -> Tuple:
+        return tuple(sorted(blocks, key=lambda b: self.rpo_index.get(b, 1 << 30)))
+
+
+class ModelAnalyses:
+    """The config-independent analyses of one module, shared by every
+    :class:`AcceleratorModel` built on them: the module dataflow results
+    and one :class:`FunctionContext` per ``(function, narrow_widths,
+    vector_distances)``.
+
+    A model builds its own set unless handed one; ``run_flow`` hands every
+    model-based flow the set its :class:`~repro.framework.PreparedProgram`
+    owns, so the flows on one program analyse it once.
+    """
+
+    def __init__(self, module: Module):
+        # Points-to backs may_alias, interval windows clamp footprints,
+        # bitwidth narrows datapath operators to their proven widths.
+        from ..dataflow import (
+            BoundsAnalysis,
+            ModuleBitwidthAnalysis,
+            ModuleIntervalAnalysis,
+            PointsToAnalysis,
+        )
+
+        self.intervals = ModuleIntervalAnalysis(module)
+        self.points_to = PointsToAnalysis(module)
+        self.bounds = BoundsAnalysis(module, self.intervals)
+        self.bitwidth = ModuleBitwidthAnalysis(module, self.intervals)
+        self._contexts: Dict[Tuple, FunctionContext] = {}
+
+    def context(
+        self, func: Function, narrow_widths: bool = True,
+        vector_distances: bool = True,
+    ) -> FunctionContext:
+        key = (func, narrow_widths, vector_distances)
+        ctx = self._contexts.get(key)
+        if ctx is None:
+            ctx = self._contexts[key] = FunctionContext(
+                func,
+                points_to=self.points_to,
+                intervals=self.intervals,
+                bitwidth=self.bitwidth if narrow_widths else None,
+                vector_distances=vector_distances,
+            )
+        return ctx
 
 
 def loop_recurrences(
@@ -185,6 +259,15 @@ def unrolled_loops_of(
     return tuple(spec)
 
 
+def _timing_signature(dfg: DFG, timing, ports) -> Tuple:
+    """What scheduling ``dfg`` sees of an interface plan: the timing of
+    each memory node (in node order) and the multiplicity of every port
+    those timings use."""
+    timings = tuple(timing(node) for node in dfg.memory_nodes())
+    used = sorted({t.port for t in timings if t.port is not None})
+    return timings, tuple(ports.get(port) for port in used)
+
+
 class AcceleratorModel:
     """Generates and evaluates accelerator configurations for wPST regions."""
 
@@ -206,6 +289,7 @@ class AcceleratorModel:
         prove_banking: bool = True,
         prove_reuse: bool = True,
         vector_distances: bool = True,
+        analyses: Optional[ModelAnalyses] = None,
     ):
         self.module = module
         self.profile = profile
@@ -232,35 +316,19 @@ class AcceleratorModel:
         #: Configurations rejected by the legality pre-filter, as
         #: ``(config, diagnostics)`` pairs — inspectable after a run.
         self.rejected_configs: List[Tuple[AcceleratorConfig, list]] = []
-        self._contexts: Dict[Function, FunctionContext] = {}
         self._estimate_cache: Dict[Tuple, List[AcceleratorEstimate]] = {}
-        # Module-level dataflow results shared by every function context:
-        # points-to backs may_alias, interval windows clamp footprints,
-        # bitwidth narrows datapath operators to their proven widths.
-        from ..dataflow import (
-            BoundsAnalysis,
-            ModuleBitwidthAnalysis,
-            ModuleIntervalAnalysis,
-            PointsToAnalysis,
+        #: Module dataflow and function contexts of ``module``: the given
+        #: set (shared with other models on the module) or a new one.
+        self.analyses = (
+            analyses if analyses is not None else ModelAnalyses(module)
         )
-
-        self._intervals = ModuleIntervalAnalysis(module)
-        self._points_to = PointsToAnalysis(module)
-        self._bounds = BoundsAnalysis(module, self._intervals)
-        self._bitwidth = ModuleBitwidthAnalysis(module, self._intervals)
 
     # Context management ------------------------------------------------------
 
     def context(self, func: Function) -> FunctionContext:
-        if func not in self._contexts:
-            self._contexts[func] = FunctionContext(
-                func,
-                points_to=self._points_to,
-                intervals=self._intervals,
-                bitwidth=self._bitwidth if self.narrow_widths else None,
-                vector_distances=self.vector_distances,
-            )
-        return self._contexts[func]
+        return self.analyses.context(
+            func, self.narrow_widths, self.vector_distances
+        )
 
     # Public API ---------------------------------------------------------------
 
@@ -608,7 +676,7 @@ class AcceleratorModel:
 
     def _window_bytes(self, access: AccessInfo) -> Optional[int]:
         """Size of the interval-proven byte window of the access."""
-        window = self._bounds.windows.get(access.inst)
+        window = self.analyses.bounds.windows.get(access.inst)
         if window is None:
             return None
         off = window.offset
@@ -649,22 +717,21 @@ class AcceleratorModel:
                 continue
             loop = loop_plan.loop
             blocks = ctx.ordered_blocks(loop.blocks)
-            dfg = DFG.from_blocks(
-                blocks, may_alias=ctx.may_alias, widths=ctx.widths
-            )
+            dfg = ctx.dfg(blocks)
             if not dfg.nodes:
                 continue
             # Unrolled outer loops replicate this inner pipeline into lanes.
             replication = loop_plan.unroll * self._lane_factor(
                 loop, config.loop_plans
             )
-            unrolled = dfg.replicate(replication)
-            recurrences = self._recurrences(loop, unrolled, ctx, loop_plan.unroll)
-            result = pipeline_loop(unrolled, techlib, timing, ports, recurrences)
+            unrolled = ctx.dfg(blocks, replication)
+            ii, depth, unit_area = self._pipelined_unit(
+                ctx, loop_plan, dfg, unrolled, replication, timing, ports
+            )
             entries = profile.loop_entries(loop)
             iterations = profile.loop_iterations(loop) / replication
-            cycles += entries * result.depth
-            cycles += max(0.0, iterations - entries) * result.ii
+            cycles += entries * depth
+            cycles += max(0.0, iterations - entries) * ii
             # Reuse buffers need a warm-up prologue: the first `distance`
             # elements of each chain are pre-filled through the scratchpad
             # port before the steady-state (port-free) pipeline starts.
@@ -676,23 +743,18 @@ class AcceleratorModel:
                         warm = max(warm, a.reuse_distance)
             if warm:
                 cycles += entries * warm * SPAD_LATENCY
-            area = area + pipelined_datapath_area(
-                unrolled, result.ii, result.depth, techlib, result.schedule
-            )
+            area = area + unit_area
             pipelined_regions += 1
             pipelined_blocks.update(loop.blocks)
             units.append((f"pipe:{loop.name}", unrolled))
+            trip = max(1.0, iterations / max(1, entries))
             reports.append(SynthesisReport(
                 name=f"pipe:{loop.name}",
                 kind="pipelined",
-                latency_cycles=result.latency(
-                    max(1.0, iterations / max(1, entries))
-                ),
-                ii=result.ii,
-                depth=result.depth,
-                area=pipelined_datapath_area(
-                    unrolled, result.ii, result.depth, techlib, result.schedule
-                ),
+                latency_cycles=depth + (trip - 1) * ii,
+                ii=ii,
+                depth=depth,
+                area=unit_area,
                 interface_counts=plan.counts(),
             ))
 
@@ -701,24 +763,24 @@ class AcceleratorModel:
             if block in pipelined_blocks:
                 continue
             count = profile.block_count(block)
-            dfg = DFG.from_blocks(
-                [block], may_alias=ctx.may_alias, widths=ctx.widths
-            )
+            dfg = ctx.dfg((block,))
             if not dfg.nodes:
                 cycles += count  # control-only block: one FSM state
                 continue
-            schedule = schedule_dfg(dfg, techlib, timing, ports)
-            cycles += count * schedule.length
-            area = area + sequential_datapath_area(dfg, schedule, techlib)
+            length, unit_area = self._sequential_unit(
+                ctx, block, dfg, timing, ports
+            )
+            cycles += count * length
+            area = area + unit_area
             seq_blocks += 1
             units.append((f"bb:{block.name}", dfg))
             reports.append(SynthesisReport(
                 name=f"bb:{block.name}",
                 kind="sequential",
-                latency_cycles=schedule.length,
+                latency_cycles=length,
                 ii=None,
                 depth=None,
-                area=sequential_datapath_area(dfg, schedule, techlib),
+                area=unit_area,
             ))
 
         if seq_blocks == 0 and pipelined_regions == 0:
@@ -751,6 +813,50 @@ class AcceleratorModel:
             units=units,
             reports=reports,
         )
+
+    def _sequential_unit(
+        self, ctx: FunctionContext, block, dfg: DFG, timing, ports
+    ) -> Tuple[int, AreaBreakdown]:
+        """Schedule length and area of one sequential block, memoized on
+        ``ctx`` by what the schedule sees of the interface plan."""
+        key = (block, self.techlib, _timing_signature(dfg, timing, ports))
+        unit = ctx.sequential_units.get(key)
+        if unit is None:
+            schedule = schedule_dfg(dfg, self.techlib, timing, ports)
+            unit = ctx.sequential_units[key] = (
+                schedule.length,
+                sequential_datapath_area(dfg, schedule, self.techlib),
+            )
+            current_telemetry().count("model.schedules")
+        return unit
+
+    def _pipelined_unit(
+        self, ctx: FunctionContext, loop_plan: LoopPlan, dfg: DFG,
+        unrolled: DFG, replication: int, timing, ports,
+    ) -> Tuple[int, int, AreaBreakdown]:
+        """II, depth and area of one pipelined loop body (``dfg``
+        replicated into ``unrolled``), memoized on ``ctx`` like
+        :meth:`_sequential_unit`.  Replicas share their original's
+        instruction, hence its timing, so ``dfg`` gives the signature."""
+        loop, unroll = loop_plan.loop, loop_plan.unroll
+        key = (loop, replication, unroll, self.techlib,
+               _timing_signature(dfg, timing, ports))
+        unit = ctx.pipelined_units.get(key)
+        if unit is None:
+            recurrences = self._recurrences(loop, unrolled, ctx, unroll)
+            result = pipeline_loop(
+                unrolled, self.techlib, timing, ports, recurrences
+            )
+            unit = ctx.pipelined_units[key] = (
+                result.ii,
+                result.depth,
+                pipelined_datapath_area(
+                    unrolled, result.ii, result.depth, self.techlib,
+                    result.schedule,
+                ),
+            )
+            current_telemetry().count("model.schedules")
+        return unit
 
     # Helpers -------------------------------------------------------------------------
 

@@ -9,6 +9,7 @@ from repro.hls import (
     OpInfo,
     TechLibrary,
 )
+from repro.hls import techlib as techlib_module
 from repro.ir import Load, Store
 
 
@@ -32,6 +33,16 @@ class TestTechLibrary:
     def test_unknown_resource(self):
         with pytest.raises(KeyError):
             DEFAULT_TECHLIB.op("quantum")
+        with pytest.raises(KeyError):  # a failed lookup is not memoized
+            DEFAULT_TECHLIB.op("quantum")
+
+    def test_memoized_op_equals_computed(self):
+        lib = TechLibrary()
+        for resource in techlib_module._OPS:
+            for bits in range(1, 65):
+                info = lib.op(resource, bits)
+                assert info == techlib_module._scaled_op(resource, bits)
+                assert lib.op(resource, bits) is info
 
     def test_frequency(self):
         assert TechLibrary(clock_ns=2.0).frequency_hz == 500e6
@@ -89,6 +100,7 @@ class TestDFG:
         for node in dfg.nodes:
             for pred in node.all_preds():
                 assert position[pred] < position[node]
+        assert dfg.topological_order() is order  # sorted once per DFG
 
     def test_memory_ordering_edges_default(self):
         src = """

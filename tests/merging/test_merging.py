@@ -1,6 +1,8 @@
 """Tests for accelerator merging: op matching, reconfigurable datapaths,
 and the greedy solution-level merge driver (paper §III-E, Fig. 5)."""
 
+import dataclasses
+
 import pytest
 
 from repro.frontend import compile_source
@@ -14,6 +16,7 @@ from repro.merging import (
     merge_solution,
     unit_fu_area,
 )
+from repro.merging import opmatch
 from repro.selection import Solution
 
 
@@ -37,6 +40,16 @@ class TestOpMatch:
         # Identical wiring: producers match, so no muxes at all.
         assert match.mux_area == 0
         assert match.shared_area == pytest.approx(unit_fu_area(a, DEFAULT_TECHLIB))
+
+    def test_op_index_lives_on_the_dfg(self):
+        a = dfg_of(LINEAR)
+        b = dfg_of(DOT)
+        match_units(a, b, DEFAULT_TECHLIB)
+        index = a.match_index
+        assert index is not None and b.match_index is not None
+        match_units(a, b, DEFAULT_TECHLIB)
+        assert a.match_index is index
+        assert not hasattr(opmatch, "_INDEX")  # no module-global map
 
     def test_similar_units_share_common_ops(self):
         a = dfg_of(LINEAR)  # fmul + fadd (+ ld/st/gep)
@@ -95,6 +108,45 @@ class TestMergePair:
         b = MergedUnit("b", dfg_of(LINEAR), owner=1, member_names=["b"])
         saving, _ = estimate_pair_saving(a, b, DEFAULT_TECHLIB)
         assert saving == pytest.approx(unit_fu_area(a.dfg, DEFAULT_TECHLIB))
+
+
+    @pytest.mark.parametrize("stride", [1, 2], ids=["full", "partial"])
+    def test_merging_a_dfg_with_itself_equals_merging_a_copy(self, stride):
+        """Both members may carry one DFG object (the estimator shares
+        DFGs between configs); clones must still be kept per side.  A
+        partial match (every other pair kept) leaves unmatched B nodes."""
+        source = "float g[4]; void f(float p, float q) { g[0] = p * q + (p + q) * q; }"
+        module = compile_source(source, optimize=False)
+        block = module.get_function("f").block_by_name("entry")
+        dfg = DFG.from_blocks([block])
+        copy = DFG.from_blocks([block])
+        position = {node: i for i, node in enumerate(dfg.nodes)}
+        match = match_units(dfg, dfg, DEFAULT_TECHLIB)
+        match.pairs = match.pairs[::stride]
+
+        def merged(other):
+            pairs = [(a, other.nodes[position[b]]) for a, b in match.pairs]
+            a = MergedUnit("a", dfg, owner=0, member_names=["a"])
+            b = MergedUnit("b", other, owner=1, member_names=["b"])
+            return merge_pair(
+                a, b, DEFAULT_TECHLIB, dataclasses.replace(match, pairs=pairs)
+            )
+
+        def structure(unit):
+            index = {node: i for i, node in enumerate(unit.dfg.nodes)}
+            return (
+                [
+                    (node.inst, node.copy, node.width,
+                     [index[p] for p in node.preds],
+                     [index[p] for p in node.order_preds],
+                     [index[s] for s in node.succs])
+                    for node in unit.dfg.nodes
+                ],
+                unit.mux_area, unit.config_bits,
+            )
+
+        assert len(merged(copy).dfg) == 2 * len(dfg) - len(match.pairs)
+        assert structure(merged(dfg)) == structure(merged(copy))
 
 
 def cayman_solution(source, budget_ratio=2.0):

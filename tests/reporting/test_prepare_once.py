@@ -1,10 +1,14 @@
 """The four-flow comparison prepares each program once — one compile, one
-profile, one wPST — and runs every flow on it.  Its results must equal four
+profile, one wPST — and runs every flow on it; the three model-based flows
+also share one set of model analyses.  Its results must equal four
 independent runs from source."""
+
+import collections
 
 import pytest
 
 from repro.baselines import Novia, QsCores
+from repro.dataflow import ModuleIntervalAnalysis
 from repro.framework import PIPELINE_STAGES, Cayman
 from repro.reporting import bench
 from repro.reporting.bench import (
@@ -14,7 +18,8 @@ from repro.reporting.bench import (
     record_from_comparison,
     run_comparison,
 )
-from repro.telemetry import Telemetry
+from repro.model import FunctionContext
+from repro.telemetry import Telemetry, current
 from repro.workloads import Workload, get_workload
 
 from ..conftest import FIG2_SOURCE
@@ -81,3 +86,34 @@ def test_shared_preparation_matches_independent_runs(name):
     for stage in PIPELINE_STAGES[:-1]:
         assert record.stage_seconds[stage] >= 0.0
 
+
+
+def test_model_flows_share_one_analysis_set(name, monkeypatch):
+    dataflow_built_in = []  # the span each module interval analysis ran in
+    contexts = collections.Counter()  # FunctionContexts built per function
+    interval_init = ModuleIntervalAnalysis.__init__
+    context_init = FunctionContext.__init__
+
+    def counting_interval_init(self, *args, **kwargs):
+        dataflow_built_in.append(current().active_span.name)
+        interval_init(self, *args, **kwargs)
+
+    def counting_context_init(self, func, *args, **kwargs):
+        contexts[func] += 1
+        context_init(self, func, *args, **kwargs)
+
+    monkeypatch.setattr(ModuleIntervalAnalysis, "__init__", counting_interval_init)
+    monkeypatch.setattr(FunctionContext, "__init__", counting_context_init)
+    shared = run_comparison(name, FlowParams(), telemetry=Telemetry())
+
+    models = [
+        shared.result_for(flow).selector.model
+        for flow in ("cayman", "coupled_only", "qscores")
+    ]
+    assert all(model.analyses is models[0].analyses for model in models)
+    # Module dataflow is built once, in the first flow's analysis stage.
+    assert dataflow_built_in.count("stage:analysis") == 1
+    # Each function's context is built once and serves all three flows.
+    assert contexts and set(contexts.values()) == {1}
+    for func in contexts:
+        assert len({id(model.context(func)) for model in models}) == 1

@@ -51,6 +51,8 @@ class TestPipelineSpans:
         assert any(k.startswith("dependence.tier.") for k in counters)
         assert counters["model.configs_generated"] > 0
         assert counters["model.candidates"] > 0
+        assert 0 < counters["model.dfg_builds"] <= counters["model.configs_generated"]
+        assert counters["model.schedules"] > 0
         assert counters["selection.vertices_evaluated"] > 0
         assert counters["merging.solutions"] > 0
         assert counters["merging.pairs_evaluated"] > 0
