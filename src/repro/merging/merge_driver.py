@@ -2,27 +2,37 @@
 
 For every Pareto-optimal selection solution Cayman repeatedly
 
-1. estimates the area saving of merging every pair of datapath units
-   contained in the solution,
-2. merges the pair with the maximum positive saving into a reconfigurable
-   datapath unit, combining their owning accelerators into one reusable
-   accelerator (each member kernel keeps its own FSM; a global *Ctrl* unit
-   dispatches configurations), and
+1. finds the pair of datapath units contained in the solution whose merge
+   saves the most area,
+2. merges that pair into a reconfigurable datapath unit, combining their
+   owning accelerators into one reusable accelerator (each member kernel
+   keeps its own FSM; a global *Ctrl* unit dispatches configurations), and
 3. treats the merged unit/accelerator as a normal one for further rounds,
 
 until no positive saving remains.
 
-A merger instance is meant to serve one flow run: it keeps one pair-saving
-cache across every solution it merges, because a front's solutions share
-most of their accelerators.  The cache is keyed by unit content, not by
-unit object: an original unit's key is interned from its DFG, and a merged
-unit's key from its two members' keys (``merge_pair`` is deterministic in
-its members, so that pair of keys fixes the merged DFG).  The cache holds
-only the net savings; the chosen pair of each merge step is re-matched.
+Step 1 is lazy (Minoux, "Accelerated greedy algorithms", 1978): every pair
+enters a heap with a cheap upper bound of its saving, computed from the two
+units' op histograms (``opmatch.match_bound``).  Only a pair whose bound
+reaches the top of the heap is matched; its exact saving then goes back
+into the heap, and an exact saving on top is the step's maximum.  Heap
+entries break ties by the units' creation ranks, which is the order of the
+unit list an exhaustive scan would walk, so the merges are exactly those of
+a scan that picks the first pair of largest saving.
+
+A merger instance is meant to serve one flow run: it keeps one pair cache
+of bounds and exact savings across every solution it merges, because a
+front's solutions share most of their accelerators.  The cache is keyed by
+unit content, not by unit object: an original unit's key is interned from
+its DFG, and a merged unit's key from its two members' keys (``merge_pair``
+is deterministic in its members, so that pair of keys fixes the merged
+DFG).  The cache holds only floats; a chosen pair whose saving came from
+the cache is re-matched.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -31,8 +41,18 @@ from ..hls.fsm import GlobalControlUnit
 from ..hls.techlib import ACCELERATOR_BASE_AREA_UM2, DEFAULT_TECHLIB, TechLibrary
 from ..selection.solution import Solution
 from ..telemetry import current as current_telemetry
-from .dfg_merge import MergedUnit, estimate_pair_saving, merge_pair
-from .opmatch import match_units
+from .dfg_merge import MergedUnit, merge_pair
+from .opmatch import (
+    MatchResult,
+    OpHistogram,
+    match_bound,
+    match_units,
+    merged_histogram,
+    op_histogram,
+)
+
+#: (node count, op histogram) of one unit.
+_Histogram = Tuple[int, OpHistogram]
 
 
 @dataclass
@@ -111,7 +131,7 @@ class _UnionFind:
 
 
 class AcceleratorMerger:
-    """Greedy pairwise merging engine with a per-instance pair cache."""
+    """Lazy-greedy pairwise merging engine with a per-instance pair cache."""
 
     def __init__(
         self,
@@ -126,8 +146,10 @@ class AcceleratorMerger:
         #: Restricted hardware sharing (baselines): a pair may merge only if
         #: the match covers at least this fraction of the smaller unit.
         self.min_match_fraction = min_match_fraction
-        #: Distinct pair matches computed (cache misses) and cache hits,
-        #: summed over every solution this merger has merged.
+        #: Summed over every solution this merger has merged: pair bounds
+        #: computed, exact pair matches computed, and exact savings taken
+        #: from the cache instead of a match.
+        self.pairs_bounded = 0
         self.pairs_evaluated = 0
         self.pair_cache_hits = 0
         # Content keys: id(DFG) → (key, DFG) for original units (holding
@@ -135,12 +157,20 @@ class AcceleratorMerger:
         # key for merged units.  Keys share one counter.
         self._dfg_keys: Dict[int, Tuple[int, DFG]] = {}
         self._merged_keys: Dict[Tuple[int, int], int] = {}
-        #: (key_i, key_j) → net saving after the ``min_match_fraction``
-        #: filter.  Floats only, so no merged DFG outlives its solution.
+        #: Content key → (node count, op histogram) of an original unit.
+        #: A merged unit's histogram is derived from its members' and
+        #: lives only as long as its solution.
+        self._histograms: Dict[int, _Histogram] = {}
+        #: (key_i, key_j) → upper bound of the pair's net saving, 0.0 when
+        #: the ``min_match_fraction`` filter rejects the pair.
+        self._bounds: Dict[Tuple[int, int], float] = {}
+        #: (key_i, key_j) → exact net saving of a pair the filter accepts.
+        #: Floats only, so no merged DFG outlives its solution.
         self._savings: Dict[Tuple[int, int], float] = {}
 
     def merge(self, solution: Solution) -> MergedSolution:
         tele = current_telemetry()
+        bounded = self.pairs_bounded
         evaluated, hits = self.pairs_evaluated, self.pair_cache_hits
         with tele.span(
             "merging.solution", accelerators=len(solution.accelerators)
@@ -151,6 +181,9 @@ class AcceleratorMerger:
                 span.set("saving_um2", merged.saving)
                 tele.count("merging.solutions")
                 tele.count("merging.steps", merged.merge_steps)
+                tele.count(
+                    "merging.pairs_bounded", self.pairs_bounded - bounded
+                )
                 tele.count(
                     "merging.pairs_evaluated", self.pairs_evaluated - evaluated
                 )
@@ -175,13 +208,21 @@ class AcceleratorMerger:
             key = self._merged_keys[(key_a, key_b)] = self._new_key()
         return key
 
-    def _pair_saving(self, unit_a: MergedUnit, unit_b: MergedUnit) -> float:
-        saving, match = estimate_pair_saving(unit_a, unit_b, self.techlib)
+    def _original_histogram(self, key: int, dfg: DFG) -> _Histogram:
+        entry = self._histograms.get(key)
+        if entry is None:
+            entry = self._histograms[key] = (
+                len(dfg.nodes), op_histogram(dfg, self.techlib)
+            )
+        return entry
+
+    def _pair_bound(self, hist_a: _Histogram, hist_b: _Histogram) -> float:
+        pairs, bound = match_bound(hist_a[1], hist_b[1])
         if self.min_match_fraction > 0.0:
-            smaller = min(len(unit_a.dfg.nodes), len(unit_b.dfg.nodes))
-            if len(match.pairs) / max(1, smaller) < self.min_match_fraction:
+            smaller = min(hist_a[0], hist_b[0])
+            if pairs / max(1, smaller) < self.min_match_fraction:
                 return 0.0
-        return saving
+        return bound
 
     def _merge_impl(self, solution: Solution) -> MergedSolution:
         units: List[MergedUnit] = []
@@ -199,58 +240,94 @@ class AcceleratorMerger:
                 )
 
         area_before = solution.area
+        uf = _UnionFind(len(solution.accelerators))
         if len(units) > self.max_units or len(units) < 2:
             return self._finalize(solution, area_before, 0.0, units,
-                                  kernel_of_owner, _UnionFind(len(solution.accelerators)), 0)
+                                  kernel_of_owner, uf, 0)
 
-        uf = _UnionFind(len(solution.accelerators))
+        # A unit's rank is its index in `pool`: original units in list
+        # order, then merged units in the order they are made.  A merged
+        # unit is appended, and its members' slots are set to None (so a
+        # merged DFG is freed once it is merged again).
+        pool: List[Optional[MergedUnit]] = list(units)
+        keys = [self._original_key(unit.dfg) for unit in units]
+        hists = [
+            self._original_histogram(key, unit.dfg)
+            for key, unit in zip(keys, units)
+        ]
+        bounds, savings = self._bounds, self._savings
+        bounded = evaluated = hits = 0
+
+        def pair_entries(j: int):
+            """Bound entries of every live pair (i, j) with i < j."""
+            nonlocal bounded
+            key_j = keys[j]
+            for i in range(j):
+                if pool[i] is None:
+                    continue
+                pair = (keys[i], key_j)
+                bound = bounds.get(pair)
+                if bound is None:
+                    bound = bounds[pair] = self._pair_bound(
+                        hists[i], hists[j]
+                    )
+                    bounded += 1
+                if bound > 0.0:
+                    yield (-bound, i, j, False)
+
+        # Entries are (-value, rank_i, rank_j, exact): the largest value
+        # pops first, ties to the lexicographically first rank pair.
+        heap = [
+            entry for j in range(1, len(pool)) for entry in pair_entries(j)
+        ]
+        heapq.heapify(heap)
         total_step_saving = 0.0
         steps = 0
-        keys = [self._original_key(unit.dfg) for unit in units]
-        savings = self._savings
-        evaluated = hits = 0
-
-        while True:
-            if self.max_steps is not None and steps >= self.max_steps:
-                break
-            best = None
-            best_saving = 0.0
-            for i in range(len(units)):
-                key_i = keys[i]
-                for j in range(i + 1, len(units)):
-                    pair = (key_i, keys[j])
-                    saving = savings.get(pair)
-                    if saving is None:
-                        saving = savings[pair] = self._pair_saving(
-                            units[i], units[j]
-                        )
-                        evaluated += 1
-                    else:
-                        hits += 1
-                    if saving > best_saving:
-                        best, best_saving = (i, j), saving
-            if best is None:
-                break
-            i, j = best
-            match = match_units(units[i].dfg, units[j].dfg, self.techlib)
-            merged = merge_pair(units[i], units[j], self.techlib, match)
-            merged_key = self._merged_key(keys[i], keys[j])
-            owner_a, owner_b = units[i].owner, units[j].owner
-            uf.union(uf.find(owner_a), uf.find(owner_b))
-            merged.owner = uf.find(owner_a)
-            # Replace the pair with the merged unit.
-            units = [u for k, u in enumerate(units) if k not in (i, j)]
-            units.append(merged)
-            keys = [key for k, key in enumerate(keys) if k not in (i, j)]
-            keys.append(merged_key)
-            total_step_saving += best_saving
+        last_match: Optional[Tuple[int, int, MatchResult]] = None
+        while heap and (self.max_steps is None or steps < self.max_steps):
+            negative, i, j, exact = heapq.heappop(heap)
+            unit_i, unit_j = pool[i], pool[j]
+            if unit_i is None or unit_j is None:
+                continue
+            if not exact:
+                pair = (keys[i], keys[j])
+                saving = savings.get(pair)
+                if saving is None:
+                    match = match_units(unit_i.dfg, unit_j.dfg, self.techlib)
+                    saving = savings[pair] = match.net_saving
+                    last_match = (i, j, match)
+                    evaluated += 1
+                else:
+                    hits += 1
+                if saving > 0.0:
+                    heapq.heappush(heap, (-saving, i, j, True))
+                continue
+            if last_match is not None and last_match[:2] == (i, j):
+                match = last_match[2]
+            else:
+                match = match_units(unit_i.dfg, unit_j.dfg, self.techlib)
+            merged = merge_pair(unit_i, unit_j, self.techlib, match)
+            uf.union(uf.find(unit_i.owner), uf.find(unit_j.owner))
+            merged.owner = uf.find(unit_i.owner)
+            pool[i] = pool[j] = last_match = None
+            pool.append(merged)
+            keys.append(self._merged_key(keys[i], keys[j]))
+            hists.append((
+                len(merged.dfg.nodes),
+                merged_histogram(hists[i][1], hists[j][1]),
+            ))
+            for entry in pair_entries(len(pool) - 1):
+                heapq.heappush(heap, entry)
+            total_step_saving += -negative
             steps += 1
 
+        self.pairs_bounded += bounded
         self.pairs_evaluated += evaluated
         self.pair_cache_hits += hits
         return self._finalize(
-            solution, area_before, total_step_saving, units, kernel_of_owner,
-            uf, steps
+            solution, area_before, total_step_saving,
+            [unit for unit in pool if unit is not None],
+            kernel_of_owner, uf, steps,
         )
 
     #: Fraction of redundant interface hardware a reusable accelerator can
@@ -285,9 +362,8 @@ class AcceleratorMerger:
             ]
             accelerators.append(ReusableAccelerator(kernels, unit_names))
             if len(owners) > 1:
-                config_bits = sum(
-                    u.config_bits for u in units if uf.find(u.owner) == root
-                )
+                # No config-bit area here: each merge step's net saving
+                # already billed the reconfiguration registers it adds.
                 ctrl_overhead += GlobalControlUnit(
                     config_bits=0, members=len(owners)
                 ).area(self.techlib)

@@ -149,6 +149,76 @@ def _producer_bonus(
     return bonus
 
 
+#: Op key → (node count, largest functional-unit area) of one DFG.
+OpHistogram = Dict[Tuple[str, int], Tuple[int, float]]
+
+
+def op_histogram(unit: DFG, techlib: TechLibrary) -> OpHistogram:
+    """Node count and largest FU area per op key of ``unit``."""
+    return {
+        key: (
+            len(nodes),
+            max(techlib.area(node.resource, node.bits) for node in nodes),
+        )
+        for key, nodes in _op_index(unit)[1].items()
+    }
+
+
+def merged_histogram(
+    hist_a: OpHistogram, hist_b: OpHistogram
+) -> OpHistogram:
+    """Op histogram of ``merge_pair``'s result, from its members' ones.
+
+    The merged unit keeps every A node plus the unmatched B nodes, so
+    ``n_a + n_b - min(n_a, n_b) = max(n_a, n_b)`` nodes per key; a matched
+    A node is widened to its partner's width, so the largest area per key
+    is the larger member's (FU area being non-decreasing in width).
+    """
+    merged = dict(hist_a)
+    for key, (count_b, area_b) in hist_b.items():
+        entry = merged.get(key)
+        if entry is not None:
+            count_a, area_a = entry
+            merged[key] = (
+                count_a if count_a > count_b else count_b,
+                area_a if area_a > area_b else area_b,
+            )
+        else:
+            merged[key] = (count_b, area_b)
+    return merged
+
+
+def match_bound(
+    hist_a: OpHistogram, hist_b: OpHistogram
+) -> Tuple[int, float]:
+    """Pair count of ``match_units`` on two units and a cap on its
+    ``net_saving``, from the units' op histograms alone.
+
+    The matcher pairs nodes of one op key only, and pairs every node it
+    can, so it makes exactly ``min(n_a, n_b)`` pairs per key.  A pair
+    shares one unit at the wider width and so saves the narrower member's
+    area, which is at most the smaller of the two keys' largest areas
+    while FU area is non-negative and non-decreasing in width.  Mux, glue
+    and config-bit costs are non-negative, so the net saving is at most
+    the shared area.  The cap is inflated slightly to absorb the rounding
+    of the matcher's own float sums; a zero cap stays zero.
+    """
+    if len(hist_b) < len(hist_a):
+        hist_a, hist_b = hist_b, hist_a
+    pairs = 0
+    shared = 0.0
+    for key, (count_a, area_a) in hist_a.items():
+        entry = hist_b.get(key)
+        if entry is not None:
+            count_b, area_b = entry
+            count = count_a if count_a < count_b else count_b
+            pairs += count
+            shared += count * (area_a if area_a < area_b else area_b)
+    if shared > 0.0:
+        shared = shared * (1.0 + 1e-9) + 1e-9
+    return pairs, shared
+
+
 def unit_fu_area(unit: DFG, techlib: TechLibrary) -> float:
     """Raw functional-unit area of one datapath unit (no sharing)."""
     total = 0.0

@@ -15,8 +15,9 @@ from repro.merging import (
 
 
 @st.composite
-def random_unit(draw):
-    """A random small datapath DFG mixing float and int arithmetic."""
+def random_unit(draw, narrow=False):
+    """A random small datapath DFG mixing float and int arithmetic; with
+    ``narrow``, every int op gets a drawn proven width of 1-64 bits."""
     module = Module("m")
     func = module.add_function("f", VOID, [F32, F32, I32], ["p", "q", "n"])
     block = func.add_block("entry")
@@ -35,7 +36,13 @@ def random_unit(draw):
             rhs = ipool[draw(st.integers(0, len(ipool) - 1))]
             ipool.append(builder._binop(op, lhs, rhs, ""))
     builder.ret()
-    return DFG.from_blocks([block])
+    widths = None
+    if narrow:
+        widths = {
+            inst: draw(st.integers(1, 64))
+            for inst in block.instructions if inst.type == I32
+        }
+    return DFG.from_blocks([block], widths=widths)
 
 
 @given(random_unit(), random_unit())

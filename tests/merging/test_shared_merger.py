@@ -10,6 +10,7 @@ from repro.hls import DEFAULT_TECHLIB
 from repro.merging import AcceleratorMerger
 
 from ..conftest import FIG2_SOURCE
+from .reference_scan import fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -18,17 +19,6 @@ def front():
     solutions = [s for s in result.front if not s.is_empty]
     assert len(solutions) > 1
     return solutions
-
-
-def _fingerprint(merged):
-    return (
-        merged.area_before,
-        merged.area_after,
-        merged.merge_steps,
-        [unit.name for unit in merged.units],
-        merged.unit_groups,
-        merged.group_roots,
-    )
 
 
 @pytest.mark.parametrize(
@@ -47,8 +37,8 @@ def test_shared_merger_matches_fresh_mergers(front, fraction):
         fresh_results.append(fresh.merge(solution))
         fresh_evaluated += fresh.pairs_evaluated
 
-    assert [_fingerprint(m) for m in shared_results] == [
-        _fingerprint(m) for m in fresh_results
+    assert [fingerprint(m) for m in shared_results] == [
+        fingerprint(m) for m in fresh_results
     ]
     assert any(m.merge_steps for m in shared_results)
     assert shared.pairs_evaluated < fresh_evaluated
@@ -61,4 +51,4 @@ def test_remerging_a_solution_is_all_cache_hits(front):
     evaluated = merger.pairs_evaluated
     again = merger.merge(front[-1])
     assert merger.pairs_evaluated == evaluated
-    assert _fingerprint(again) == _fingerprint(first)
+    assert fingerprint(again) == fingerprint(first)
